@@ -1,6 +1,7 @@
 """Scenario runner and exporters: reproduce the experiments as files.
 
-Subcommands:
+Subcommands (<config> is a scenario file, or the name of a bundled config
+such as ellipse_experiment when no file of that name exists):
 
     simulate <config>   one trajectory CSV per initial pose + summary.csv
     field <config>      guiding-field direction grid for external plotting
@@ -13,7 +14,8 @@ Exit code 0 on success; nonzero only for configuration or validation errors
 (dynamical outcomes such as Timeout are data, recorded in the outputs).
 
 Trajectory CSV columns, in order: t, x, y, alpha, e, delta, omega_d, omega,
-dist_path (units: s, Px, rad).  For the baselines, delta is the wrapped
+dist_path (units: s, Px, rad).  alpha is the integrated heading, not
+wrapped, for every controller.  For the baselines, delta is the wrapped
 heading error to the guidance bearing and omega_d is the curvature
 feedforward (LOS) or 0 (NGL).  The dist_path column is the
 nearest-boundary-sample distance (resolution about 0.25 Px for the bundled
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +37,7 @@ from . import analysis
 from . import field as gvf
 from . import sim
 from .paths import PathError, check_derivatives
-from .scenario import ConfigError, load_scenario
+from .scenario import ConfigError, bundled_scenario, load_scenario
 from .util import PADDED_WORKSPACE, wrap_angle
 
 CSV_COLUMNS = ("t", "x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist_path")
@@ -328,8 +331,18 @@ def run_self_checks(verbose=True):
     return ok
 
 
+def _load_config(arg):
+    """Load a scenario file, or a bundled config named without a directory."""
+    if os.path.dirname(arg) or os.path.exists(arg):
+        return load_scenario(arg)
+    try:
+        return bundled_scenario(arg if arg.endswith(".cfg") else f"{arg}.cfg")
+    except FileNotFoundError:
+        raise ConfigError(f"no scenario file or bundled config named {arg!r}") from None
+
+
 def _add_config_arg(sp):
-    sp.add_argument("config", help="scenario config file")
+    sp.add_argument("config", help="scenario config file or bundled config name")
     sp.add_argument("-o", "--out", default=None, help="output directory")
 
 
@@ -347,7 +360,7 @@ def main(argv=None):
         return 0 if run_self_checks() else 1
 
     try:
-        scn = load_scenario(args.config)
+        scn = _load_config(args.config)
         out = Path(args.out) if args.out else Path("out") / scn.name
         out.mkdir(parents=True, exist_ok=True)
 

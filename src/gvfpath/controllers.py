@@ -88,8 +88,8 @@ class Projection:
 def gvf_control(path, errmap, params, pose):
     """Turn-rate command omega = omega_d - k_delta * delta at the pose.
 
-    At degenerate points regular is False and omega is 0; the simulator's
-    hold-last policy and termination handling take over from there.
+    At degenerate points regular is False, omega is 0 and delta/omega_d are
+    NaN; the simulator ends such a run in the critical set before stepping it.
     """
     out = gvf.steering_arrays(path, errmap, params, pose.x, pose.y, pose.alpha)
     regular = bool(out["regular"])

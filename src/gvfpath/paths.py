@@ -333,13 +333,10 @@ class EllipsePath(ImplicitPath):
 
     def point(self, s):
         ang = TWO_PI * np.asarray(s, dtype=float)
-        return np.stack(
-            [
-                self.x0 + self.p * self.R * np.cos(ang),
-                self.y0 - self.q * self.R * np.sin(ang),
-            ],
-            axis=-1,
-        )
+        out = np.empty(ang.shape + (2,))
+        out[..., 0] = self.x0 + self.p * self.R * np.cos(ang)
+        out[..., 1] = self.y0 - self.q * self.R * np.sin(ang)
+        return out
 
 
 @dataclass(frozen=True)

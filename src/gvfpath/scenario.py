@@ -33,20 +33,13 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .controllers import Direction, LosParams, NglParams
 from .field import GvfParams
-from .paths import (
-    CassiniPath,
-    CirclePath,
-    EllipsePath,
-    LinePath,
-    PolynomialPath,
-    make_error_map,
-    make_path,
-)
+from .paths import _KINDS as _PATH_KINDS
+from .paths import make_error_map, make_path
 from .sim import Pose, StopPolicy
 from .util import PADDED_WORKSPACE, Region
 
@@ -248,12 +241,8 @@ def parse_scenario(text):
         raise ConfigError(f"[scenario] selects {controller!r} but "
                           f"[controller.{controller}] is missing")
 
-    stop = StopPolicy(
-        tol_e=_get_float(cp, "stop", "tol_e", 1e-2) if cp.has_section("stop") else 1e-2,
-        tol_d=_get_float(cp, "stop", "tol_d", 2.0) if cp.has_section("stop") else 2.0,
-        t_dwell=_get_float(cp, "stop", "t_dwell", 5.0) if cp.has_section("stop") else 5.0,
-        tol_c=_get_float(cp, "stop", "tol_c", 1.0) if cp.has_section("stop") else 1.0,
-    )
+    stop = StopPolicy(**{f.name: _get_float(cp, "stop", f.name, f.default)
+                         for f in fields(StopPolicy)})
 
     if not cp.has_section("initial_poses") or not cp.items("initial_poses"):
         raise ConfigError("[initial_poses] must list at least one pose")
@@ -315,29 +304,22 @@ def _fmt(v):
 
 
 def _path_lines(path):
-    if isinstance(path, LinePath):
-        lines = [("kind", "line"), ("a", _fmt(path.a)), ("b", _fmt(path.b)),
-                 ("c", _fmt(path.c))]
-        if path.region != PADDED_WORKSPACE:
-            lines.append(("region", _region_str(path.region)))
-        return lines
-    if isinstance(path, CirclePath):
-        return [("kind", "circle"), ("x0", _fmt(path.x0)), ("y0", _fmt(path.y0)),
-                ("radius", _fmt(path.radius)), ("k_s", _fmt(path.k_s))]
-    if isinstance(path, EllipsePath):
-        return [("kind", "ellipse"), ("x0", _fmt(path.x0)), ("y0", _fmt(path.y0)),
-                ("R", _fmt(path.R)), ("p", _fmt(path.p)), ("q", _fmt(path.q)),
-                ("k_s", _fmt(path.k_s))]
-    if isinstance(path, CassiniPath):
-        return [("kind", "cassini"), ("x0", _fmt(path.x0)), ("y0", _fmt(path.y0)),
-                ("p", _fmt(path.p)), ("q", _fmt(path.q)), ("k_s", _fmt(path.k_s))]
-    if isinstance(path, PolynomialPath):
-        terms = ", ".join(f"{i} {j} {_fmt(c)}" for i, j, c in path.terms)
-        lines = [("kind", "polynomial"), ("terms", terms)]
-        if path.region != PADDED_WORKSPACE:
-            lines.append(("region", _region_str(path.region)))
-        return lines
-    raise ConfigError(f"cannot serialize path {type(path).__name__}")
+    for kind, (cls, names) in _PATH_KINDS.items():
+        if isinstance(path, cls):
+            break
+    else:
+        raise ConfigError(f"cannot serialize path {type(path).__name__}")
+    lines = [("kind", kind)]
+    for name in names:
+        value = getattr(path, name)
+        if name == "terms":
+            lines.append((name, ", ".join(f"{i} {j} {_fmt(c)}" for i, j, c in value)))
+        else:
+            lines.append((name, _fmt(value)))
+    region = getattr(path, "region", PADDED_WORKSPACE)
+    if region != PADDED_WORKSPACE:
+        lines.append(("region", _region_str(region)))
+    return lines
 
 
 def _errmap_lines(errmap):

@@ -7,18 +7,29 @@ The closed loop integrates
 with fixed-step RK4 and the turn command held constant over each step
 (zero-order hold).  Because alpha is then linear in time inside a step, the
 position update reduces to a Simpson rule over the stage headings, which is
-exactly the classical RK4 for this system.
+exactly the classical RK4 for this system.  Integral curves of the raw and
+normalized guiding field are integrated with classical RK4 as well.
+
+Every run, whatever drives it, goes through one batched time-step loop,
+`_run`.  A per-caller *command* (guiding-field steering, an LOS/NGL
+baseline, or the field itself for integral curves) evaluates the active rows
+and returns their tracking error, singular and infeasible masks, diagnostics
+and RK4 advance.  The loop keeps the termination ledger: each step it
+records the rows, then ends every row whose event fires, with the precedence
+
+    infeasible > critical set > left domain > converged > timeout
+
+where the critical event also covers the command's singular rows (a
+vanishing gradient).  Ended rows are dropped before the advance, so a
+non-regular row is never stepped.  A single run is a batch of one.
 
 Every dynamical outcome is an event, not an exception: runs end with
-ConvergedToPath, ReachedCriticalSet, Timeout, LeftDomain or
-GuidanceInfeasible.  Convergence requires |e| < tol_e and the distance to the
-path below tol_d sustained for a dwell window.  Distances used inside the
-loop come from the 4096-sample boundary cache (resolution about half a sample
-spacing); use `distance_to_path` for refined point queries.
-
-Guiding-field runs execute in a vectorized batch (a single run is a batch of
-one), so sweeps over thousands of starts share the exact code path of an
-individual simulation.
+GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or
+Timeout.  Convergence requires |e| < tol_e and the distance to the path
+below tol_d sustained for a dwell window.  Distances used inside the loop
+come from the 4096-sample boundary cache (resolution about half a sample
+spacing); use `distance_to_path` for refined point queries.  Non-finite
+starts are invalid input and raise ValueError.
 """
 
 from __future__ import annotations
@@ -57,6 +68,16 @@ class TraceLabel(enum.Enum):
     TIMEOUT = "timeout"
 
 
+# Ledger codes are indices into these tables, in precedence order:
+# infeasible, critical, left domain, converged, timeout.  Traces are never
+# infeasible.
+_KINDS = np.array([TerminationKind.INFEASIBLE, TerminationKind.CRITICAL,
+                   TerminationKind.LEFT_DOMAIN, TerminationKind.CONVERGED,
+                   TerminationKind.TIMEOUT], dtype=object)
+_LABELS = np.array([None, TraceLabel.CRITICAL, TraceLabel.ESCAPED,
+                    TraceLabel.PATH, TraceLabel.TIMEOUT], dtype=object)
+
+
 @dataclass(frozen=True)
 class Pose:
     """Unicycle state; alpha is stored wrapped to (-pi, pi]."""
@@ -66,6 +87,8 @@ class Pose:
     alpha: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.alpha)):
+            raise ValueError(f"pose ({self.x}, {self.y}, {self.alpha}) is not finite")
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
@@ -94,10 +117,7 @@ class TerminationEvent:
 
 @dataclass
 class Trajectory:
-    """Column-array time series of one run plus the termination event.
-
-    sample(i) views row i as the tuple (t, Pose, ControlSample, dist).
-    """
+    """Column-array time series of one run plus the termination event."""
 
     dt: float
     t: np.ndarray
@@ -113,21 +133,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.t)
-
-    def pose(self, i):
-        return Pose(self.x[i], self.y[i], self.alpha[i])
-
-    def control(self, i):
-        return ctl.ControlSample(
-            omega=float(self.omega[i]),
-            delta=float(self.delta[i]),
-            omega_d=float(self.omega_d[i]),
-            e=float(self.e[i]),
-            regular=bool(np.isfinite(self.delta[i])),
-        )
-
-    def sample(self, i):
-        return float(self.t[i]), self.pose(i), self.control(i), float(self.dist[i])
 
 
 def _rk4_step(x, y, alpha, u_r, omega, dt):
@@ -157,6 +162,139 @@ def _critical_locations(path, region):
     return np.asarray(locs, dtype=float).reshape(-1, 2)
 
 
+def _run(command, path, state, dt, t_max, stop, domain, critical_points,
+         record=None, record_dist=False):
+    """The batched time-step loop and its termination ledger.
+
+    state is (B, k) with the position in its first two columns.  Each step,
+    command(state) returns (e, singular, infeasible, diag, advance) for the
+    active rows, and advance(keep) gives the next state of the rows kept.
+    record(t, ids, data), if given, sees diag plus e and dist (NaN where the
+    convergence test did not need it, unless record_dist).  Returns the
+    ledger code (an index into _KINDS), t_final, state, e and dist of every
+    run at its termination.
+    """
+    if dt <= 0.0 or t_max <= 0.0:
+        raise ValueError("dt and t_max must be positive")
+    bad = np.flatnonzero(~np.isfinite(state).all(axis=1))
+    if len(bad):
+        raise ValueError(f"non-finite start(s) at row(s) {bad.tolist()}")
+    n_runs = len(state)
+    code = np.zeros(n_runs, dtype=int)
+    t_fin = np.zeros(n_runs)
+    fin = np.zeros_like(state)
+    fin_e = np.zeros(n_runs)
+    fin_d = np.zeros(n_runs)
+    if n_runs == 0:
+        return code, t_fin, fin, fin_e, fin_d
+    crit = (np.asarray(critical_points, dtype=float).reshape(-1, 2)
+            if critical_points is not None
+            else _critical_locations(path, domain))
+
+    ids = np.arange(n_runs)
+    dwell = np.zeros(n_runs)
+    n_steps = int(math.ceil(t_max / dt - 1e-9))
+    for step in range(n_steps + 1):
+        t = step * dt
+        e, singular, infeasible, diag, advance = command(state)
+
+        near = np.abs(e) < stop.tol_e
+        dist = np.full(len(state), np.nan)
+        cand = near | record_dist
+        if cand.any():
+            dist[cand] = path.distance_many(state[cand, :2])
+        if record is not None:
+            record(t, ids, {**diag, "e": e, "dist": dist})
+
+        critical = singular
+        if len(crit):
+            d2c = np.min((state[:, 0, None] - crit[:, 0]) ** 2
+                         + (state[:, 1, None] - crit[:, 1]) ** 2, axis=1)
+            critical = critical | (d2c < stop.tol_c**2)
+        left = ~domain.contains(state)
+        dwell = np.where(near & (dist < stop.tol_d), dwell + dt, 0.0)
+        converged = dwell >= stop.t_dwell
+        last = step == n_steps
+        done = infeasible | critical | left | converged | last
+        keep = slice(None)
+        if done.any():
+            ii = ids[done]
+            # The first event that fired, in precedence order.
+            code[ii] = np.argmax(np.stack([infeasible, critical, left, converged,
+                                           np.full(len(done), last)])[:, done], axis=0)
+            t_fin[ii] = t
+            fin[ii], fin_e[ii], fin_d[ii] = state[done], e[done], dist[done]
+            keep = ~done
+            if not keep.any():
+                break
+            ids, dwell = ids[keep], dwell[keep]
+        state = advance(keep)
+    return code, t_fin, fin, fin_e, fin_d
+
+
+def _unicycle_command(steer, u_r, dt):
+    """Command for (x, y, alpha) rows turned by steer(x, y, alpha).
+
+    steer returns (e, singular, infeasible, diag) with the turn rate in
+    diag["omega"], which the RK4 advance holds over the step.
+    """
+
+    def command(state):
+        x, y, alpha = state.T
+        e, singular, infeasible, diag = steer(x, y, alpha)
+        omega = diag["omega"]
+
+        def advance(keep):
+            return np.array(_rk4_step(x[keep], y[keep], alpha[keep],
+                                      u_r, omega[keep], dt)).T
+
+        return (e, singular, infeasible,
+                {"x": x, "y": y, "alpha": alpha, **diag}, advance)
+
+    return command
+
+
+def _gvf_steer(path, errmap, params):
+    """Guiding-field steering; rows where the gradient vanishes are singular."""
+
+    def steer(x, y, alpha):
+        st = gvf.steering_arrays(path, errmap, params, x, y, alpha)
+        regular = st["regular"]
+        diag = {k: st[k] for k in ("delta", "omega_d", "omega", "regular")}
+        return st["e"], ~regular, np.zeros_like(regular), diag
+
+    return steer
+
+
+def _baseline_steer(path, errmap, controller, u_r, reasons):
+    """LOS or NGL steering, one guidance query per row.
+
+    Rows without guidance are infeasible and carry NaN delta/omega_d/omega;
+    the error messages are appended to `reasons`.
+    """
+
+    def steer(x, y, alpha):
+        terms = np.full((len(x), 3), np.nan)
+        infeasible = np.zeros(len(x), dtype=bool)
+        for i in range(len(x)):
+            pose = Pose(x[i], y[i], alpha[i])
+            try:
+                if isinstance(controller, ctl.LosParams):
+                    s = ctl.los_sample(path, controller, pose, u_r)
+                else:
+                    s = ctl.ngl_sample(path, controller, pose)
+            except (ctl.GuidanceInfeasibleError, ctl.AmbiguousProjectionError) as exc:
+                infeasible[i] = True
+                reasons.append(str(exc))
+                continue
+            terms[i] = s.heading_error, s.feedforward, s.omega
+        e = errmap.psi(path.phi(np.column_stack([x, y])))
+        diag = dict(zip(("delta", "omega_d", "omega"), terms.T))
+        return e, np.zeros_like(infeasible), infeasible, diag
+
+    return steer
+
+
 @dataclass
 class BatchResult:
     """Per-run outcome of a batched closed-loop sweep."""
@@ -168,9 +306,6 @@ class BatchResult:
     alpha: np.ndarray
     e: np.ndarray
     dist: np.ndarray      # nearest-boundary-sample distance at termination
-
-    def fraction(self, kind):
-        return float(np.mean([k is kind for k in self.kind]))
 
 
 def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
@@ -184,104 +319,16 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
     x, y, alpha, e, delta, omega_d, omega, regular, dist (dist is NaN where it
     was not needed for the convergence test).
     """
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValueError("dt and t_max must be positive")
     poses0 = np.asarray(poses0, dtype=float).reshape(-1, 3)
-    n_runs = len(poses0)
-    if n_runs == 0:
-        z = np.zeros(0)
-        return BatchResult(kind=np.zeros(0, dtype=object), t_final=z, x=z, y=z,
-                           alpha=z, e=z, dist=z)
-    crit = (np.asarray(critical_points, dtype=float).reshape(-1, 2)
-            if critical_points is not None
-            else _critical_locations(path, domain))
-
-    x = poses0[:, 0].copy()
-    y = poses0[:, 1].copy()
-    alpha = poses0[:, 2].copy()
-    ids = np.arange(n_runs)
-    hold = np.zeros(n_runs)
-    dwell = np.zeros(n_runs)
-
-    out_kind = np.full(n_runs, TerminationKind.TIMEOUT, dtype=object)
-    out_t = np.full(n_runs, float(t_max))
-    out_x = poses0[:, 0].copy()
-    out_y = poses0[:, 1].copy()
-    out_a = poses0[:, 2].copy()
-    out_e = np.zeros(n_runs)
-    out_d = np.full(n_runs, np.nan)
-
-    n_steps = int(math.ceil(t_max / dt - 1e-9))
-    want_all_dist = record is not None
-
-    for step in range(n_steps + 1):
-        t = step * dt
-        st = gvf.steering_arrays(path, errmap, params, x, y, alpha)
-        e, delta = st["e"], st["delta"]
-        omega_d, regular = st["omega_d"], st["regular"]
-        omega = np.where(regular, st["omega"], hold)
-
-        dist = np.full(x.shape, np.nan)
-        cand = (np.abs(e) < stop.tol_e) | want_all_dist
-        if cand.any():
-            pts = np.stack([x[cand], y[cand]], axis=-1)
-            dist[cand] = path.distance_many(pts)
-
-        if record is not None:
-            record(t, ids, {
-                "x": x, "y": y, "alpha": alpha, "e": e, "delta": delta,
-                "omega_d": omega_d, "omega": omega, "regular": regular,
-                "dist": dist,
-            })
-
-        # Events, in precedence order: critical set, domain, convergence.
-        if len(crit):
-            d2c = np.min((x[:, None] - crit[:, 0]) ** 2
-                         + (y[:, None] - crit[:, 1]) ** 2, axis=1)
-            critical_now = (d2c < stop.tol_c**2) | ~regular
-        else:
-            critical_now = ~regular
-        left_now = ~((x >= domain.xmin) & (x <= domain.xmax)
-                     & (y >= domain.ymin) & (y <= domain.ymax))
-        holds = (np.abs(e) < stop.tol_e) & (dist < stop.tol_d)
-        dwell = np.where(holds, dwell + dt, 0.0)
-        converged_now = dwell >= stop.t_dwell
-        timeout_now = np.full(x.shape, step == n_steps)
-
-        done = critical_now | left_now | converged_now | timeout_now
-        if done.any():
-            ii = ids[done]
-            kind = np.where(
-                critical_now[done], TerminationKind.CRITICAL,
-                np.where(left_now[done], TerminationKind.LEFT_DOMAIN,
-                         np.where(converged_now[done], TerminationKind.CONVERGED,
-                                  TerminationKind.TIMEOUT)))
-            out_kind[ii] = kind
-            out_t[ii] = t
-            out_x[ii], out_y[ii], out_a[ii] = x[done], y[done], alpha[done]
-            out_e[ii] = e[done]
-            out_d[ii] = dist[done]
-            keep = ~done
-            if not keep.any():
-                break
-            x, y, alpha = x[keep], y[keep], alpha[keep]
-            ids, dwell = ids[keep], dwell[keep]
-            omega = omega[keep]
-
-        x, y, alpha = _rk4_step(x, y, alpha, params.u_r, omega, dt)
-        hold = omega
-
-    return BatchResult(kind=out_kind, t_final=out_t, x=out_x, y=out_y,
-                       alpha=out_a, e=out_e, dist=out_d)
+    command = _unicycle_command(_gvf_steer(path, errmap, params), params.u_r, dt)
+    code, t_final, fin, e, dist = _run(command, path, poses0, dt, t_max, stop,
+                                       domain, critical_points, record,
+                                       record_dist=record is not None)
+    return BatchResult(kind=_KINDS[code], t_final=t_final, x=fin[:, 0],
+                       y=fin[:, 1], alpha=fin[:, 2], e=e, dist=dist)
 
 
-def _baseline_step_terms(path, controller, pose, u_r):
-    """omega plus recorded diagnostics (heading error, feedforward)."""
-    if isinstance(controller, ctl.LosParams):
-        s = ctl.los_sample(path, controller, pose, u_r)
-        return s.omega, s.heading_error, s.feedforward
-    s = ctl.ngl_sample(path, controller, pose)
-    return s.omega, s.heading_error, 0.0
+_ROW_KEYS = ("x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist")
 
 
 def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
@@ -290,41 +337,36 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
 
     controller is GvfParams (u_r taken from it) or LosParams / NglParams
     (pass the forward speed via u_r).  Dynamical outcomes terminate the run
-    with an event; only invalid configuration raises.
+    with an event; only invalid configuration raises.  The recorded alpha is
+    the integrated heading, not wrapped.
     """
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValueError("dt and t_max must be positive")
-
+    reasons = []
     if isinstance(controller, gvf.GvfParams):
         if u_r is not None and u_r != controller.u_r:
             raise ValueError("u_r is carried by GvfParams; do not pass both")
-        return _simulate_gvf_single(path, errmap, controller, pose0, dt, t_max,
-                                    stop, domain, critical_points)
-    if not isinstance(controller, (ctl.LosParams, ctl.NglParams)):
+        steer, u_r = _gvf_steer(path, errmap, controller), controller.u_r
+    elif isinstance(controller, (ctl.LosParams, ctl.NglParams)):
+        if u_r is None or u_r <= 0.0:
+            raise ValueError("baseline controllers need a positive u_r")
+        if not path.has_parametric:
+            raise PathError("baseline controllers require a parametric path")
+        steer = _baseline_steer(path, errmap, controller, u_r, reasons)
+    else:
         raise TypeError(f"unsupported controller {controller!r}")
-    if u_r is None or u_r <= 0.0:
-        raise ValueError("baseline controllers need a positive u_r")
-    if not path.has_parametric:
-        raise PathError("baseline controllers require a parametric path")
-    return _simulate_baseline(path, errmap, controller, pose0, dt, t_max,
-                              stop, u_r, domain, critical_points)
 
-
-def _simulate_gvf_single(path, errmap, params, pose0, dt, t_max, stop, domain,
-                         critical_points):
-    rows = {k: [] for k in ("t", "x", "y", "alpha", "e", "delta",
-                            "omega_d", "omega", "dist")}
+    rows = {k: [] for k in ("t",) + _ROW_KEYS}
 
     def record(t, ids, data):
         rows["t"].append(t)
-        for k in ("x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist"):
+        for k in _ROW_KEYS:
             rows[k].append(float(data[k][0]))
 
-    res = simulate_gvf_batch(
-        path, errmap, params, [(pose0.x, pose0.y, pose0.alpha)], dt, t_max,
-        stop=stop, domain=domain, critical_points=critical_points, record=record)
-    kind = res.kind[0]
-    detail = {
+    code, t_final, *_ = _run(_unicycle_command(steer, u_r, dt), path,
+                             np.array([[pose0.x, pose0.y, pose0.alpha]]), dt,
+                             t_max, stop, domain, critical_points, record,
+                             record_dist=True)
+    kind = _KINDS[code[0]]
+    detail = reasons[-1] if reasons else {
         TerminationKind.CONVERGED: "|e| and path distance within tolerance "
                                    f"for {stop.t_dwell} s",
         TerminationKind.CRITICAL: "entered the critical-set neighborhood",
@@ -333,64 +375,7 @@ def _simulate_gvf_single(path, errmap, params, pose0, dt, t_max, stop, domain,
     }[kind]
     return Trajectory(
         dt=dt,
-        termination=TerminationEvent(kind, float(res.t_final[0]), detail),
-        **{k: np.asarray(v, dtype=float) for k, v in rows.items()},
-    )
-
-
-def _simulate_baseline(path, errmap, controller, pose0, dt, t_max, stop, u_r,
-                       domain, critical_points):
-    crit = (np.asarray(critical_points, dtype=float).reshape(-1, 2)
-            if critical_points is not None
-            else _critical_locations(path, domain))
-    rows = {k: [] for k in ("t", "x", "y", "alpha", "e", "delta",
-                            "omega_d", "omega", "dist")}
-    x, y, a = pose0.x, pose0.y, pose0.alpha
-    dwell = 0.0
-    n_steps = int(math.ceil(t_max / dt - 1e-9))
-    event = None
-
-    for step in range(n_steps + 1):
-        t = step * dt
-        pose = Pose(x, y, a)
-        e = float(errmap.psi(path.phi(pose.xy)))
-        dist = float(path.distance_many(pose.xy[None])[0])
-        try:
-            omega, herr, ffwd = _baseline_step_terms(path, controller, pose, u_r)
-        except (ctl.GuidanceInfeasibleError, ctl.AmbiguousProjectionError) as exc:
-            rows["t"].append(t); rows["x"].append(x); rows["y"].append(y)
-            rows["alpha"].append(pose.alpha); rows["e"].append(e)
-            rows["delta"].append(math.nan); rows["omega_d"].append(math.nan)
-            rows["omega"].append(math.nan); rows["dist"].append(dist)
-            event = TerminationEvent(TerminationKind.INFEASIBLE, t, str(exc))
-            break
-
-        rows["t"].append(t); rows["x"].append(x); rows["y"].append(y)
-        rows["alpha"].append(pose.alpha); rows["e"].append(e)
-        rows["delta"].append(herr); rows["omega_d"].append(ffwd)
-        rows["omega"].append(omega); rows["dist"].append(dist)
-
-        if len(crit) and np.min(np.hypot(crit[:, 0] - x, crit[:, 1] - y)) < stop.tol_c:
-            event = TerminationEvent(TerminationKind.CRITICAL, t,
-                                     "entered the critical-set neighborhood")
-            break
-        if not (domain.xmin <= x <= domain.xmax and domain.ymin <= y <= domain.ymax):
-            event = TerminationEvent(TerminationKind.LEFT_DOMAIN, t,
-                                     "left the working region")
-            break
-        dwell = dwell + dt if (abs(e) < stop.tol_e and dist < stop.tol_d) else 0.0
-        if dwell >= stop.t_dwell:
-            event = TerminationEvent(
-                TerminationKind.CONVERGED, t,
-                f"|e| and path distance within tolerance for {stop.t_dwell} s")
-            break
-        if step == n_steps:
-            event = TerminationEvent(TerminationKind.TIMEOUT, t, "t_max reached")
-            break
-        x, y, a = _rk4_step(x, y, a, u_r, omega, dt)
-
-    return Trajectory(
-        dt=dt, termination=event,
+        termination=TerminationEvent(kind, float(t_final[0]), detail),
         **{k: np.asarray(v, dtype=float) for k, v in rows.items()},
     )
 
@@ -408,17 +393,31 @@ class TraceResult:
     t_final: float
 
 
-def _trace_velocity(path, errmap, k_n, pts, mode, u_r, eps):
-    ph = path.phi(pts)
-    g = path.grad(pts)
-    e = errmap.psi(ph)
-    v = np.empty_like(g)
-    v[..., 0] = g[..., 1] - k_n * e * g[..., 0]
-    v[..., 1] = -g[..., 0] - k_n * e * g[..., 1]
-    if mode is TraceMode.RAW:
-        return v
-    vn = np.hypot(v[..., 0], v[..., 1])
-    return u_r * v / np.maximum(vn, _TINY)[..., None]
+def _trace_command(path, errmap, k_n, mode, u_r, dt):
+    """Classical RK4 on the raw field v or the normalized field u_r m_d."""
+
+    def velocity(pts):
+        fs = gvf.field_arrays(path, errmap, k_n, pts)
+        if mode is TraceMode.RAW:
+            return fs, fs["v"]
+        # u_r v / |v| rather than u_r * m_d: m_d is NaN where the gradient
+        # falls below eps, and a later RK4 stage may land there.
+        return fs, u_r * fs["v"] / np.maximum(fs["v_norm"], _TINY)[..., None]
+
+    def command(pts):
+        fs, k1 = velocity(pts)
+
+        def advance(keep):
+            p, q1 = pts[keep], k1[keep]
+            q2 = velocity(p + 0.5 * dt * q1)[1]
+            q3 = velocity(p + 0.5 * dt * q2)[1]
+            q4 = velocity(p + dt * q3)[1]
+            return p + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+
+        return (fs["e"], ~fs["regular"], np.zeros(len(pts), dtype=bool),
+                {"pts": pts}, advance)
+
+    return command
 
 
 def trace_integral_curve(path, errmap, k_n, start, mode, dt, t_max, u_r=1.0,
@@ -453,79 +452,17 @@ def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
 
     `record`, if given, is called once per step as record(t, ids, pts, e).
     """
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValueError("dt and t_max must be positive")
     starts = np.asarray(starts, dtype=float).reshape(-1, 2)
-    n_runs = len(starts)
-    if n_runs == 0:
-        return np.zeros(0, dtype=object), np.zeros(0)
-    crit = (np.asarray(critical_points, dtype=float).reshape(-1, 2)
-            if critical_points is not None
-            else _critical_locations(path, domain))
-    eps = 1e-9
-
-    pts = starts.copy()
-    ids = np.arange(n_runs)
-    dwell = np.zeros(n_runs)
-    labels = np.full(n_runs, TraceLabel.TIMEOUT, dtype=object)
-    t_fin = np.full(n_runs, float(t_max))
-
-    n_steps = int(math.ceil(t_max / dt - 1e-9))
-    for step in range(n_steps + 1):
-        t = step * dt
-        e = errmap.psi(path.phi(pts))
-        if record is not None:
-            record(t, ids, pts, e)
-
-        bad = ~np.isfinite(pts).all(axis=1)
-        if len(crit):
-            d2c = np.min(np.sum((pts[:, None, :] - crit) ** 2, axis=-1), axis=1)
-            critical_now = bad | (d2c < stop.tol_c**2)
-        else:
-            critical_now = bad
-        g = path.grad(pts)
-        critical_now |= np.hypot(g[..., 0], g[..., 1]) <= eps
-        escaped_now = ~domain.contains(pts)
-
-        cand = np.abs(e) < stop.tol_e
-        dist = np.full(len(pts), np.inf)
-        if cand.any():
-            dist[cand] = path.distance_many(pts[cand])
-        holds = cand & (dist < stop.tol_d)
-        dwell = np.where(holds, dwell + dt, 0.0)
-        path_now = dwell >= stop.t_dwell
-        timeout_now = np.full(len(pts), step == n_steps)
-
-        done = critical_now | escaped_now | path_now | timeout_now
-        if done.any():
-            ii = ids[done]
-            lab = np.where(
-                critical_now[done], TraceLabel.CRITICAL,
-                np.where(escaped_now[done], TraceLabel.ESCAPED,
-                         np.where(path_now[done], TraceLabel.PATH,
-                                  TraceLabel.TIMEOUT)))
-            labels[ii] = lab
-            t_fin[ii] = t
-            keep = ~done
-            if not keep.any():
-                break
-            pts, ids, dwell = pts[keep], ids[keep], dwell[keep]
-
-        k1 = _trace_velocity(path, errmap, k_n, pts, mode, u_r, eps)
-        k2 = _trace_velocity(path, errmap, k_n, pts + 0.5 * dt * k1, mode, u_r, eps)
-        k3 = _trace_velocity(path, errmap, k_n, pts + 0.5 * dt * k2, mode, u_r, eps)
-        k4 = _trace_velocity(path, errmap, k_n, pts + dt * k3, mode, u_r, eps)
-        pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    return labels, t_fin
+    rec = None if record is None else (
+        lambda t, ids, data: record(t, ids, data["pts"], data["e"]))
+    code, t_final, *_ = _run(_trace_command(path, errmap, k_n, mode, u_r, dt),
+                             path, starts, dt, t_max, stop, domain,
+                             critical_points, rec)
+    return _LABELS[code], t_final
 
 
 def lyapunov_series(path, errmap, run):
     """(t, V) pairs with V = e^2 / 2 along a Trajectory or TraceResult."""
-    if isinstance(run, Trajectory):
-        t, e = run.t, run.e
-    elif isinstance(run, TraceResult):
-        t, e = run.t, run.e
-    else:
+    if not isinstance(run, (Trajectory, TraceResult)):
         raise TypeError(f"expected Trajectory or TraceResult, got {type(run)}")
-    return np.column_stack([t, 0.5 * np.asarray(e) ** 2])
+    return np.column_stack([run.t, 0.5 * np.asarray(run.e) ** 2])

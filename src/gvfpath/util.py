@@ -1,4 +1,4 @@
-"""Shared numeric helpers: angle wrapping, 2D rotations, scalar minimization."""
+"""Shared numeric helpers: angle wrapping, working regions, scalar minimization."""
 
 from __future__ import annotations
 
@@ -24,19 +24,6 @@ def wrap_angle(a):
     )
     if out.ndim == 0:
         return float(out)
-    return out
-
-
-def rot_cw(v):
-    """Rotate 2-vectors by -90 degrees: (x, y) -> (y, -x).
-
-    This is the E-matrix action that turns the normal of a level set into
-    its tangent; with it, closed zero sets are traversed clockwise.
-    """
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 1]
-    out[..., 1] = -v[..., 0]
     return out
 
 

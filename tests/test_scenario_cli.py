@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +258,23 @@ def test_cli_main_happy_and_error_paths(tmp_path, capsys):
     grid_cfg = tmp_path / "nogrid.cfg"
     grid_cfg.write_text(SMALL_SCENARIO)
     assert main(["field", str(grid_cfg), "-o", str(tmp_path / "fg")]) == 2
+
+
+def test_cli_rejects_non_finite_pose(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(SMALL_SCENARIO.replace("a = 980.0 350.0 -1.4", "a = nan 300.0 0.0"))
+    with pytest.raises(ConfigError, match=r"\[initial_poses\] a"):
+        parse_scenario(cfg.read_text())
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "run")]) == 2
+    assert "[initial_poses] a" in capsys.readouterr().err
+
+
+def test_cli_accepts_bundled_config_name(tmp_path):
+    golden = Path(__file__).resolve().parents[1] / "out" / "ellipse_experiment"
+    assert main(["critical", "ellipse_experiment", "-o", str(tmp_path)]) == 0
+    assert ((tmp_path / "critical_points.txt").read_bytes()
+            == (golden / "critical_points.txt").read_bytes())
+    assert main(["critical", "missing.cfg", "-o", str(tmp_path)]) == 2
 
 
 def test_cli_check_passes():

@@ -33,6 +33,23 @@ def test_pose_wraps_alpha():
     assert Pose(0.0, 0.0, 0.25).alpha == 0.25
 
 
+@pytest.mark.parametrize("xya", [(math.nan, 300.0, 0.0), (600.0, math.inf, 0.0),
+                                 (600.0, 300.0, math.nan)])
+def test_pose_rejects_non_finite(xya):
+    with pytest.raises(ValueError, match="not finite"):
+        Pose(*xya)
+
+
+def test_batches_reject_non_finite_starts(ellipse, identity, exp_params):
+    poses = np.array([[472.0, 311.0, 0.0768], [np.nan, 300.0, 0.0]])
+    with pytest.raises(ValueError, match=r"row\(s\) \[1\]"):
+        simulate_gvf_batch(ellipse, identity, exp_params, poses, dt=0.005,
+                           t_max=1.0, critical_points=[])
+    with pytest.raises(ValueError, match=r"row\(s\) \[0\]"):
+        trace_batch(ellipse, identity, 3.0, [(np.inf, 350.0)], TraceMode.RAW,
+                    dt=0.005, t_max=1.0, critical_points=[])
+
+
 def test_step_straight():
     assert step_unicycle(Pose(0, 0, 0), u_r=1.0, omega=0.0, dt=1.0) == Pose(1.0, 0.0, 0.0)
 
@@ -103,8 +120,9 @@ def test_simulate_experiment_ic_a_converges(ellipse, identity, exp_params):
     assert np.all(np.abs(traj.e[dwell]) < 1e-2)
     # Trajectory samples step uniformly.
     assert np.allclose(np.diff(traj.t), traj.dt)
-    t0, pose0, ctrl0, d0 = traj.sample(0)
-    assert t0 == 0.0 and pose0 == Pose(472, 311, 0.0768) and ctrl0.regular
+    assert traj.t[0] == 0.0
+    assert (traj.x[0], traj.y[0], traj.alpha[0]) == (472.0, 311.0, 0.0768)
+    assert np.isfinite(traj.delta[0])
 
 
 def test_simulate_on_path_start_is_near_invariant(ellipse, identity, exp_params):
@@ -127,6 +145,16 @@ def test_simulate_critical_start(ellipse, identity, exp_params):
     assert len(traj) == 1
 
 
+def test_simulate_singular_start_is_critical(ellipse, identity, exp_params):
+    # With no listed critical points, the vanishing gradient at the ellipse
+    # center alone ends the run; the row records omega = 0 and NaN delta.
+    traj = simulate(ellipse, identity, exp_params, Pose(600.0, 350.0, 0.0),
+                    dt=0.005, t_max=10.0, critical_points=np.zeros((0, 2)))
+    assert traj.termination.kind is TerminationKind.CRITICAL
+    assert len(traj) == 1 and traj.omega[0] == 0.0
+    assert np.isnan(traj.delta[0]) and np.isnan(traj.omega_d[0])
+
+
 def test_simulate_baseline_runs(ellipse, identity):
     pose0 = Pose(200.0, 450.0, 0.0278)
     for controller in (LosParams(lookahead=70.0, k_los=2.0),
@@ -142,6 +170,9 @@ def test_simulate_baseline_infeasible_event(ellipse, identity):
                     Pose(600.0, 250.0, 0.0), dt=0.005, t_max=5.0, u_r=50.0)
     assert traj.termination.kind is TerminationKind.INFEASIBLE
     assert traj.termination.t_final == 0.0
+    assert "does not intersect" in traj.termination.detail
+    assert len(traj) == 1
+    assert np.isnan([traj.delta[0], traj.omega_d[0], traj.omega[0]]).all()
 
 
 def test_baseline_on_path_circulation_stays_close(ellipse, identity):

@@ -59,6 +59,17 @@ class GvfSample:
     regular: bool
 
 
+def _field_v(path, errmap, k_n, pts):
+    """phi, e, n, tau and the unnormalized field v = tau - k_n e n at pts."""
+    ph = path.phi(pts)
+    n = path.grad(pts)
+    e = errmap.psi(ph)
+    tau = np.empty_like(n)
+    tau[..., 0] = n[..., 1]
+    tau[..., 1] = -n[..., 0]
+    return ph, e, n, tau, tau - (k_n * e)[..., None] * n
+
+
 def field_arrays(path, errmap, k_n, pts, eps=1e-9):
     """Vectorized field quantities at pts (..., 2).
 
@@ -66,16 +77,10 @@ def field_arrays(path, errmap, k_n, pts, eps=1e-9):
     m_d rows are NaN where the field is degenerate.
     """
     pts = np.asarray(pts, dtype=float)
-    ph = path.phi(pts)
-    n = path.grad(pts)
-    e = errmap.psi(ph)
+    ph, e, n, tau, v = _field_v(path, errmap, k_n, pts)
     pp = errmap.psi_prime(ph)
     n_norm = np.hypot(n[..., 0], n[..., 1])
     regular = n_norm > eps
-    tau = np.empty_like(n)
-    tau[..., 0] = n[..., 1]
-    tau[..., 1] = -n[..., 0]
-    v = tau - (k_n * e)[..., None] * n
     v_norm = np.hypot(v[..., 0], v[..., 1])
     safe = np.where(regular, v_norm, 1.0)
     m_d = np.where(regular[..., None], v / safe[..., None], np.nan)

@@ -396,22 +396,26 @@ class TraceResult:
 def _trace_command(path, errmap, k_n, mode, u_r, dt):
     """Classical RK4 on the raw field v or the normalized field u_r m_d."""
 
-    def velocity(pts):
-        fs = gvf.field_arrays(path, errmap, k_n, pts)
+    def velocity(v):
         if mode is TraceMode.RAW:
-            return fs, fs["v"]
+            return v
         # u_r v / |v| rather than u_r * m_d: m_d is NaN where the gradient
         # falls below eps, and a later RK4 stage may land there.
-        return fs, u_r * fs["v"] / np.maximum(fs["v_norm"], _TINY)[..., None]
+        return u_r * v / np.maximum(np.hypot(v[..., 0], v[..., 1]), _TINY)[..., None]
+
+    def stage(pts):
+        return velocity(gvf._field_v(path, errmap, k_n, pts)[-1])
 
     def command(pts):
-        fs, k1 = velocity(pts)
+        # The first stage also gives e and the regular mask.
+        fs = gvf.field_arrays(path, errmap, k_n, pts)
+        k1 = velocity(fs["v"])
 
         def advance(keep):
             p, q1 = pts[keep], k1[keep]
-            q2 = velocity(p + 0.5 * dt * q1)[1]
-            q3 = velocity(p + 0.5 * dt * q2)[1]
-            q4 = velocity(p + dt * q3)[1]
+            q2 = stage(p + 0.5 * dt * q1)
+            q3 = stage(p + 0.5 * dt * q2)
+            q4 = stage(p + dt * q3)
             return p + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
         return (fs["e"], ~fs["regular"], np.zeros(len(pts), dtype=bool),

@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from gvfpath import (
     ArctanPower,
+    CassiniPath,
+    CirclePath,
     ContourNotFoundError,
+    EllipsePath,
     IdentityMap,
+    LinePath,
     PathError,
     PolynomialPath,
     RationalSignPower,
@@ -20,6 +24,7 @@ from gvfpath import (
     make_error_map,
     make_path,
 )
+from gvfpath.paths import BOUNDARY_SAMPLES, COARSE_STRIDE, CONTOUR_BLOCK
 from gvfpath.util import PADDED_WORKSPACE
 
 ALL_MAPS = [IdentityMap(), ArctanPower(1.0), ArctanPower(2.0),
@@ -152,6 +157,66 @@ def test_distance_many_matches_refined(ellipse, rng):
     spacing = 2000.0 / 4096
     assert np.all(coarse >= refined - 1e-9)
     assert np.all(coarse - refined < spacing)
+
+
+def _nearest_boundary_reference(path, pts):
+    """The two-stage search as first written: (B, 97, 2) gather and np.sum."""
+    pts = np.asarray(pts, dtype=float)
+    samples = path._boundary_pts
+    d2c = np.sum((pts[..., None, :] - samples[::COARSE_STRIDE]) ** 2, axis=-1)
+    kc = np.argmin(d2c, axis=-1)
+    offs = np.arange(-COARSE_STRIDE, 2 * COARSE_STRIDE + 1)
+    idx = kc[..., None] * COARSE_STRIDE + offs
+    if path.closed:
+        idx = np.mod(idx, BOUNDARY_SAMPLES)
+    else:
+        idx = np.clip(idx, 0, BOUNDARY_SAMPLES - 1)
+    d2 = np.sum((pts[..., None, :] - samples[idx]) ** 2, axis=-1)
+    j = np.argmin(d2, axis=-1)
+    dist = np.sqrt(np.take_along_axis(d2, j[..., None], axis=-1)[..., 0])
+    best = np.take_along_axis(idx, j[..., None], axis=-1)[..., 0]
+    return dist, best
+
+
+@pytest.mark.parametrize("path", [
+    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+    CirclePath(640.0, 360.0, 250.0),
+    LinePath(0.0, 1.0, -350.0),
+    LinePath(1.0, 2.0, -1300.0),
+], ids=["ellipse", "cassini", "circle", "line", "sloped_line"])
+def test_nearest_boundary_matches_reference(path):
+    rng = np.random.default_rng(4)
+    box = Region(-200.0, 1480.0, -200.0, 920.0)
+    s = np.concatenate([rng.uniform(0.0, 1.0, 20000), [0.0, 1.0 - 1e-12]])
+    batches = [
+        box.sample(rng, 30000),
+        path.point(s) + rng.normal(0.0, 2.0, (len(s), 2)),
+        np.array([640.0, 360.0]),
+        box.sample(rng, 12).reshape(3, 4, 2),
+    ]
+    for pts in batches:
+        dist, best = path.nearest_boundary(pts)
+        ref_dist, ref_best = _nearest_boundary_reference(path, pts)
+        assert dist.shape == ref_dist.shape == pts.shape[:-1]
+        assert best.shape == ref_best.shape == pts.shape[:-1]
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(best, ref_best)
+    assert np.array_equal(path.distance_many(batches[0]),
+                          _nearest_boundary_reference(path, batches[0])[0])
+
+
+def test_contour_distance_many_matches_reference():
+    circle = PolynomialPath(terms=((2, 0, 1.0), (0, 2, 1.0), (0, 0, -1.0)),
+                            region=Region(-2.0, 2.0, -2.0, 2.0))
+    contour = circle._contour_pts
+    pts = Region(-2.0, 2.0, -2.0, 2.0).sample(np.random.default_rng(5), 1000)
+    # More than one block of the query.
+    assert len(pts) > CONTOUR_BLOCK // len(contour)
+    ref = np.sqrt(np.sum((pts[:, None, :] - contour) ** 2, axis=-1).min(axis=1))
+    assert np.array_equal(circle.distance_many(pts), ref)
+    assert np.array_equal(circle.distance_many(pts.reshape(10, 100, 2)),
+                          ref.reshape(10, 100))
 
 
 def test_polynomial_path_contour_distance():

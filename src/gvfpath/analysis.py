@@ -189,14 +189,9 @@ def invariant_set_spec(path, errmap, k_n, critical_points=None, region=None):
 
 def in_invariant_set(path, errmap, k_n, e_c, pose, degeneracy_eps=1e-9):
     """Strict membership test for M (regular, |delta| and |e| inside bounds)."""
-    pt = np.array([pose.x, pose.y])
-    g = path.grad(pt)
-    if np.hypot(g[0], g[1]) <= degeneracy_eps:
+    fs = gvf.field_arrays(path, errmap, k_n, pose.xy, eps=degeneracy_eps)
+    if not (fs["regular"] and abs(fs["e"]) < e_c):
         return False
-    e = float(errmap.psi(path.phi(pt)))
-    if not abs(e) < e_c:
-        return False
-    fs = gvf.field_arrays(path, errmap, k_n, pt, eps=degeneracy_eps)
     delta = gvf.heading_error(fs["m_d"], pose.alpha)
     return abs(delta) < math.atan(k_n * e_c)
 

@@ -37,14 +37,10 @@ from . import analysis
 from . import field as gvf
 from . import sim
 from .paths import PathError, check_derivatives
-from .scenario import ConfigError, bundled_scenario, load_scenario
+from .scenario import ConfigError, _fmt, bundled_scenario, load_scenario
 from .util import PADDED_WORKSPACE, wrap_angle
 
 CSV_COLUMNS = ("t", "x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist_path")
-
-
-def _fmt(v):
-    return repr(float(v))
 
 
 def write_trajectory_csv(out_file, traj):
@@ -371,10 +367,12 @@ def main(argv=None):
         elif args.command == "field":
             if scn.field_grid is None:
                 raise ConfigError("scenario has no [field_grid] section")
-            k_n = scn.gvf.k_n if scn.gvf is not None else 1.0
+            k_n, eps = ((scn.gvf.k_n, scn.gvf.degeneracy_eps) if scn.gvf is not None
+                        else (1.0, gvf.GvfParams.degeneracy_eps))
             n_flagged = export_field_grid(
                 scn.path, scn.errmap, k_n, scn.field_grid.region,
-                scn.field_grid.nx, scn.field_grid.ny, out / "field_grid.csv")
+                scn.field_grid.nx, scn.field_grid.ny, out / "field_grid.csv",
+                degeneracy_eps=eps)
             print(f"wrote {scn.field_grid.nx * scn.field_grid.ny} rows "
                   f"({n_flagged} degenerate) to {out / 'field_grid.csv'}")
         elif args.command == "critical":

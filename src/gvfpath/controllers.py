@@ -25,7 +25,7 @@ import numpy as np
 
 from . import field as gvf
 from .paths import BOUNDARY_SAMPLES
-from .util import bisect_root, golden_min, wrap_angle
+from .util import bisect_root, golden_min, require_positive, wrap_angle
 
 
 class Direction(enum.Enum):
@@ -48,8 +48,7 @@ class LosParams:
     direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
-        if self.lookahead <= 0.0 or self.k_los <= 0.0:
-            raise ValueError("LosParams requires lookahead > 0 and k_los > 0")
+        require_positive(lookahead=self.lookahead, k_los=self.k_los)
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,7 @@ class NglParams:
     direction: Direction = Direction.FORWARD
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.k_r <= 0.0:
-            raise ValueError("NglParams requires radius > 0 and k_r > 0")
+        require_positive(radius=self.radius, k_r=self.k_r)
 
 
 @dataclass
@@ -138,52 +136,35 @@ def project_to_path(path, point, direction=Direction.FORWARD):
     d_seed = np.hypot(*(seed_pts - p).T)
 
     if path.closed:
-        left = np.roll(d_seed, 1)
-        right = np.roll(d_seed, -1)
-        is_min = (d_seed <= left) & (d_seed <= right)
+        left, right = np.roll(d_seed, 1), np.roll(d_seed, -1)
     else:
-        left = np.r_[np.inf, d_seed[:-1]]
-        right = np.r_[d_seed[1:], np.inf]
-        is_min = (d_seed <= left) & (d_seed <= right)
+        left, right = np.r_[np.inf, d_seed[:-1]], np.r_[d_seed[1:], np.inf]
+    is_min = (d_seed <= left) & (d_seed <= right)
 
-    h = 1.0 / PROJECTION_SEEDS
-
-    def dist_at(s):
-        if path.closed:
-            s = s % 1.0
-        return float(np.hypot(*(path.point(s) - p)))
-
+    dist_at = path._param_dist(p)
     minima = []
     for k in np.flatnonzero(is_min):
-        lo, hi = k * h - h, k * h + h
-        if not path.closed:
-            lo, hi = max(lo, 0.0), min(hi, 1.0 - 1e-12)
-        s_star, d_star = golden_min(dist_at, lo, hi, iters=45)
+        s_star, d_star = golden_min(dist_at, *path._bracket(k, 1.0 / PROJECTION_SEEDS),
+                                    iters=45)
         if path.closed:
             s_star = s_star % 1.0
         minima.append((d_star, s_star))
 
     minima.sort()
-    # Merge refinements that landed on the same parameter value.
-    distinct = []
-    for d_star, s_star in minima:
-        dup = False
-        for _, s_prev in distinct:
-            ds = abs(s_star - s_prev)
-            if path.closed:
-                ds = min(ds, 1.0 - ds)
-            if ds < 1e-6:
-                dup = True
-                break
-        if not dup:
-            distinct.append((d_star, s_star))
-    if len(distinct) >= 2 and distinct[1][0] - distinct[0][0] < PROJECTION_TIE_TOL:
+    d_best, s_best = minima[0]
+
+    def distinct(s):
+        ds = abs(s - s_best)
+        return (min(ds, 1.0 - ds) if path.closed else ds) >= 1e-6
+
+    # The runner-up is the best minimum at a different parameter value.
+    d_next = next((d for d, s in minima[1:] if distinct(s)), math.inf)
+    if d_next - d_best < PROJECTION_TIE_TOL:
         raise AmbiguousProjectionError(
             f"projection of ({p[0]}, {p[1]}) is ambiguous: distances "
-            f"{distinct[0][0]:.9g} and {distinct[1][0]:.9g}"
+            f"{d_best:.9g} and {d_next:.9g}"
         )
 
-    d_best, s_best = distinct[0]
     proj = path.point(s_best)
     g = path.grad(proj)
     nn = math.hypot(g[0], g[1])
@@ -241,10 +222,10 @@ def _circle_intersections(path, center, radius):
     fb = np.roll(f_grid, -1) if path.closed else f_grid[1:]
     crossing = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
 
+    dist = path._param_dist(center)
+
     def f(s):
-        if path.closed:
-            s = s % 1.0
-        return float(np.hypot(*(path.point(s) - center))) - radius
+        return dist(s) - radius
 
     iters = max(1, math.ceil(math.log2(h / NGL_REFINE_TOL)))
     hits = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import wrap_angle
+from .util import require_positive, wrap_angle
 
 
 class DegeneracyError(RuntimeError):
@@ -43,8 +43,8 @@ class GvfParams:
     degeneracy_eps: float = 1e-9
 
     def __post_init__(self):
-        if min(self.k_n, self.k_delta, self.u_r, self.degeneracy_eps) <= 0.0:
-            raise ValueError("GvfParams requires k_n, k_delta, u_r, degeneracy_eps > 0")
+        require_positive(k_n=self.k_n, k_delta=self.k_delta, u_r=self.u_r,
+                         degeneracy_eps=self.degeneracy_eps)
 
 
 @dataclass
@@ -98,6 +98,17 @@ def field_arrays(path, errmap, k_n, pts, eps=1e-9):
     }
 
 
+def _heading_delta(ca, sa, mdx, mdy):
+    """delta = atan2(-m.E m_d, m.m_d) for m = (ca, sa) and m_d = (mdx, mdy).
+
+    The +0.0 turns a signed zero into +0 so exact antipodal alignment lands
+    on +pi, never -pi.
+    """
+    sin_d = -(ca * mdy - sa * mdx) + 0.0
+    cos_d = ca * mdx + sa * mdy
+    return np.arctan2(sin_d, cos_d)
+
+
 def steering_arrays(path, errmap, params, x, y, alpha):
     """Vectorized rotation rate, heading error and turn command.
 
@@ -130,11 +141,7 @@ def steering_arrays(path, errmap, params, x, y, alpha):
     mdx, mdy = m_d[..., 0], m_d[..., 1]
     omega_d = -(mdd_x * mdy - mdd_y * mdx)
 
-    # delta = atan2(-m.E m_d, m.m_d); the +0.0 turns a signed zero into +0
-    # so exact antipodal alignment lands on +pi, never -pi.
-    sin_d = -(ca * mdy - sa * mdx) + 0.0
-    cos_d = ca * mdx + sa * mdy
-    delta = np.arctan2(sin_d, cos_d)
+    delta = _heading_delta(ca, sa, mdx, mdy)
     omega = omega_d - params.k_delta * delta
     omega = np.where(regular, omega, 0.0)
     return {
@@ -178,10 +185,7 @@ def heading_error(m_d, alpha):
     norm = math.hypot(m_d[0], m_d[1])
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"m_d must be a unit vector, |m_d| = {norm}")
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    sin_d = -(ca * m_d[1] - sa * m_d[0]) + 0.0
-    cos_d = ca * m_d[0] + sa * m_d[1]
-    return math.atan2(sin_d, cos_d)
+    return float(_heading_delta(np.cos(alpha), np.sin(alpha), m_d[0], m_d[1]))
 
 
 def compose_heading(m_d, delta):

@@ -84,6 +84,24 @@ class ImplicitPath:
 
     # -- distance to the zero set ------------------------------------------
 
+    def _param_dist(self, p):
+        """Scalar s -> |point(s) - p|, with s wrapped mod 1 on closed paths."""
+
+        def dist(s):
+            if self.closed:
+                s = s % 1.0
+            return float(np.hypot(*(self.point(s) - p)))
+
+        return dist
+
+    def _bracket(self, k, h):
+        """The bracket [(k-1) h, (k+1) h] around sample k, clipped to [0, 1)
+        on open paths."""
+        lo, hi = k * h - h, k * h + h
+        if not self.closed:
+            lo, hi = max(lo, 0.0), min(hi, 1.0 - 1e-12)
+        return lo, hi
+
     @cached_property
     def _boundary_pts(self):
         s = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
@@ -160,18 +178,8 @@ class ImplicitPath:
         p = _pts(point)
         if self.has_parametric:
             _, k = self.nearest_boundary(p)
-            k = int(k)
-            h = 1.0 / BOUNDARY_SAMPLES
-
-            def f(s):
-                if self.closed:
-                    s = s % 1.0
-                return float(np.hypot(*(self.point(s) - p)))
-
-            lo, hi = k * h - h, k * h + h
-            if not self.closed:
-                lo, hi = max(lo, 0.0), min(hi, 1.0 - 1e-12)
-            _, d = golden_min(f, lo, hi, iters=45)
+            _, d = golden_min(self._param_dist(p),
+                              *self._bracket(int(k), 1.0 / BOUNDARY_SAMPLES), iters=45)
             return d
         contour = self._contour_pts
         return float(np.min(np.hypot(*(contour - p).T)))
@@ -608,8 +616,8 @@ class IdentityMap(ErrorMap):
 
 
 def _check_power(p):
-    if p < 1.0:
-        raise ValueError("power must satisfy p >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"power must be finite and >= 1, got {p!r}")
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,14 @@ A scenario file is INI-style text with nested section names, e.g.
     k_n = 3.0
     k_delta = 2.0
 
-    [stop]                  ; optional, defaults shown in StopPolicy
+    [stop]                  ; optional
     [initial_poses]         ; label = x y alpha   (at least one)
     [field_grid] [basin] [compare]   ; optional, verb-specific
+
+The controller, [stop], [field_grid], [basin] and [compare] sections are read
+and written key by key from the fields of their dataclass: an absent key
+takes the field default, and the dataclass checks the values.  Unknown
+sections and keys are errors.
 
 The parser and serializer are inverses: parse(serialize(s)) == s, and the
 bundled configs are stored in canonical serialized form.
@@ -31,9 +36,10 @@ bundled configs are stored in canonical serialized form.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
-import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from .controllers import Direction, LosParams, NglParams
@@ -41,7 +47,9 @@ from .field import GvfParams
 from .paths import _KINDS as _PATH_KINDS
 from .paths import make_error_map, make_path
 from .sim import Pose, StopPolicy
-from .util import PADDED_WORKSPACE, Region
+from .util import PADDED_WORKSPACE, Region, require_positive
+
+_CONTROLLERS = ("gvf", "los", "ngl")
 
 
 class ConfigError(ValueError):
@@ -52,24 +60,39 @@ class ConfigError(ValueError):
 class FieldGridSpec:
     nx: int
     ny: int
-    region: Region
+    region: Region = PADDED_WORKSPACE
+
+    def __post_init__(self):
+        if not min(self.nx, self.ny) >= 2:
+            raise ValueError(f"nx and ny must be at least 2, got {self.nx} and {self.ny}")
 
 
 @dataclass(frozen=True)
 class BasinSpec:
     nx: int
     ny: int
-    headings: int
-    t_max: float
-    region: Region
+    headings: int = 4
+    t_max: float = 600.0
+    region: Region = PADDED_WORKSPACE
+
+    def __post_init__(self):
+        require_positive(nx=self.nx, ny=self.ny, headings=self.headings,
+                         t_max=self.t_max)
 
 
 @dataclass(frozen=True)
 class CompareSpec:
-    controllers: tuple
+    controllers: tuple = _CONTROLLERS
     settle_threshold: float = 5.0
     steady_window: float = 20.0
     touch_eps: float = 0.5
+
+    def __post_init__(self):
+        if not self.controllers or not set(self.controllers) <= set(_CONTROLLERS):
+            raise ValueError(f"controllers must list gvf, los or ngl, got "
+                             f"{' '.join(self.controllers)!r}")
+        require_positive(settle_threshold=self.settle_threshold,
+                         steady_window=self.steady_window, touch_eps=self.touch_eps)
 
 
 @dataclass(frozen=True)
@@ -98,28 +121,41 @@ class Scenario:
         return params
 
 
+# Every section, in canonical order.
+_SECTIONS = ("scenario", "path", "error_map", "controller.gvf", "controller.los",
+             "controller.ngl", "stop", "initial_poses", "field_grid", "basin",
+             "compare")
+# The sections read and written from a dataclass, with their Scenario
+# attribute.  [controller.gvf] takes u_r from [scenario].  [stop] is read
+# even when absent; the others are then None.
+_DATACLASS_SECTIONS = {
+    "controller.gvf": ("gvf", GvfParams),
+    "controller.los": ("los", LosParams),
+    "controller.ngl": ("ngl", NglParams),
+    "stop": ("stop", StopPolicy),
+    "field_grid": ("field_grid", FieldGridSpec),
+    "basin": ("basin", BasinSpec),
+    "compare": ("compare", CompareSpec),
+}
+
+
 def _want(cp, section, key):
     if not cp.has_option(section, key):
         raise ConfigError(f"[{section}] is missing required key {key!r}")
     return cp.get(section, key)
 
 
-def _get_float(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"[{section}] is missing required key {key!r}")
-        return default
-    raw = cp.get(section, key)
+def _number(raw, where):
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
+        raise ConfigError(f"{where} = {raw!r} is not a number") from None
 
 
-def _get_int(cp, section, key, default=None):
-    v = _get_float(cp, section, key, default)
-    if v != int(v):
-        raise ConfigError(f"[{section}] {key} must be an integer")
+def _integer(raw, where):
+    v = _number(raw, where)
+    if not v.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {raw!r}")
     return int(v)
 
 
@@ -141,8 +177,9 @@ def _parse_path(cp):
     for key, raw in cp.items("path"):
         if key == "kind":
             continue
+        where = f"[path] {key}"
         if key == "region":
-            params["region"] = _parse_region(raw, "[path]")
+            params["region"] = _parse_region(raw, where)
         elif key == "terms":
             terms = []
             for chunk in raw.split(","):
@@ -150,13 +187,11 @@ def _parse_path(cp):
                 if len(parts) != 3:
                     raise ConfigError(
                         f"[path] terms: each term is 'i j c', got {chunk.strip()!r}")
-                terms.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                terms.append((_integer(parts[0], where), _integer(parts[1], where),
+                              _number(parts[2], where)))
             params["terms"] = tuple(terms)
         else:
-            try:
-                params[key] = float(raw)
-            except ValueError:
-                raise ConfigError(f"[path] {key} = {raw!r} is not a number") from None
+            params[key] = _number(raw, where)
     try:
         return make_path(kind, params)
     except Exception as exc:
@@ -166,22 +201,50 @@ def _parse_path(cp):
 def _parse_errmap(cp):
     if not cp.has_section("error_map"):
         raise ConfigError("missing [error_map] section")
+    _check_keys(cp, "error_map", ("kind", "p"))
     kind = _want(cp, "error_map", "kind").lower()
-    p = _get_float(cp, "error_map", "p", default=math.nan)
+    raw = cp.get("error_map", "p", fallback=None)
+    p = None if raw is None else _number(raw, "[error_map] p")
     try:
-        return make_error_map(kind, None if math.isnan(p) else p)
+        return make_error_map(kind, p)
     except Exception as exc:
         raise ConfigError(f"[error_map]: {exc}") from None
 
 
-def _parse_direction(cp, section):
-    raw = cp.get(section, "direction", fallback="forward").lower()
+def _direction(raw, where):
+    raw = raw.lower()
     try:
         return Direction(raw)
     except ValueError:
-        raise ConfigError(
-            f"[{section}] direction must be forward or reverse, got {raw!r}"
-        ) from None
+        raise ConfigError(f"{where} must be forward or reverse, got {raw!r}") from None
+
+
+def _check_keys(cp, section, known):
+    for key in cp.options(section):
+        if key not in known:
+            raise ConfigError(f"[{section}] {key} is not a known key; expected one "
+                              f"of {', '.join(known)}")
+
+
+def _read_section(cp, section, cls, given):
+    """cls from the keys of [section] and the field values in given.
+
+    Each key is parsed by the type of its field.  An absent key takes the
+    field default, and an absent section reads as an empty one.
+    """
+    schema = [row for row in _schema(cls) if row[0] not in given]
+    if cp.has_section(section):
+        _check_keys(cp, section, [name for name, *_ in schema])
+    kw = dict(given)
+    for name, default, parse, _ in schema:
+        if cp.has_option(section, name):
+            kw[name] = parse(cp.get(section, name), f"[{section}] {name}")
+        elif default is MISSING:
+            raise ConfigError(f"[{section}] is missing required key {name!r}")
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def parse_scenario(text):
@@ -192,106 +255,53 @@ def parse_scenario(text):
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from None
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"[{section}] is not a known section; expected one "
+                              f"of {', '.join(_SECTIONS)}")
 
     if not cp.has_section("scenario"):
         raise ConfigError("missing [scenario] section")
+    _check_keys(cp, "scenario", ("name", "controller", "u_r", "dt", "t_max"))
     name = _want(cp, "scenario", "name")
     controller = cp.get("scenario", "controller", fallback="gvf").lower()
-    if controller not in ("gvf", "los", "ngl"):
+    if controller not in _CONTROLLERS:
         raise ConfigError(f"[scenario] controller must be gvf/los/ngl, got {controller!r}")
-    u_r = _get_float(cp, "scenario", "u_r")
-    dt = _get_float(cp, "scenario", "dt")
-    t_max = _get_float(cp, "scenario", "t_max")
-    if u_r <= 0 or dt <= 0 or t_max <= 0:
-        raise ConfigError("[scenario] u_r, dt and t_max must be positive")
+    u_r, dt, t_max = (_number(_want(cp, "scenario", key), f"[scenario] {key}")
+                      for key in ("u_r", "dt", "t_max"))
+    try:
+        require_positive(u_r=u_r, dt=dt, t_max=t_max)
+    except ValueError as exc:
+        raise ConfigError(f"[scenario] {exc}") from None
 
     path = _parse_path(cp)
     errmap = _parse_errmap(cp)
 
-    gvf = los = ngl = None
-    if cp.has_section("controller.gvf"):
-        try:
-            gvf = GvfParams(
-                k_n=_get_float(cp, "controller.gvf", "k_n"),
-                k_delta=_get_float(cp, "controller.gvf", "k_delta"),
-                u_r=u_r,
-                degeneracy_eps=_get_float(cp, "controller.gvf", "degeneracy_eps", 1e-9),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[controller.gvf]: {exc}") from None
-    if cp.has_section("controller.los"):
-        try:
-            los = LosParams(
-                lookahead=_get_float(cp, "controller.los", "lookahead"),
-                k_los=_get_float(cp, "controller.los", "k_los"),
-                direction=_parse_direction(cp, "controller.los"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[controller.los]: {exc}") from None
-    if cp.has_section("controller.ngl"):
-        try:
-            ngl = NglParams(
-                radius=_get_float(cp, "controller.ngl", "radius"),
-                k_r=_get_float(cp, "controller.ngl", "k_r"),
-                direction=_parse_direction(cp, "controller.ngl"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[controller.ngl]: {exc}") from None
-    if {"gvf": gvf, "los": los, "ngl": ngl}[controller] is None:
+    sections = dict.fromkeys(_CONTROLLERS)
+    for section, (attr, cls) in _DATACLASS_SECTIONS.items():
+        if cp.has_section(section) or cls is StopPolicy:
+            given = {"u_r": u_r} if cls is GvfParams else {}
+            sections[attr] = _read_section(cp, section, cls, given)
+    if sections[controller] is None:
         raise ConfigError(f"[scenario] selects {controller!r} but "
                           f"[controller.{controller}] is missing")
-
-    stop = StopPolicy(**{f.name: _get_float(cp, "stop", f.name, f.default)
-                         for f in fields(StopPolicy)})
 
     if not cp.has_section("initial_poses") or not cp.items("initial_poses"):
         raise ConfigError("[initial_poses] must list at least one pose")
     poses = []
     for label, raw in cp.items("initial_poses"):
+        where = f"[initial_poses] {label}"
         parts = raw.split()
         if len(parts) != 3:
-            raise ConfigError(
-                f"[initial_poses] {label}: expected 'x y alpha', got {raw!r}")
+            raise ConfigError(f"{where}: expected 'x y alpha', got {raw!r}")
+        xya = [_number(p, where) for p in parts]
         try:
-            poses.append((label, Pose(*(float(p) for p in parts))))
-        except ValueError:
-            raise ConfigError(f"[initial_poses] {label}: bad numbers {raw!r}") from None
+            poses.append((label, Pose(*xya)))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
-    field_grid = basin = compare = None
-    if cp.has_section("field_grid"):
-        nx = _get_int(cp, "field_grid", "nx")
-        ny = _get_int(cp, "field_grid", "ny")
-        if nx < 2 or ny < 2:
-            raise ConfigError("[field_grid] resolution must be at least 2")
-        region = (_parse_region(cp.get("field_grid", "region"), "[field_grid]")
-                  if cp.has_option("field_grid", "region") else PADDED_WORKSPACE)
-        field_grid = FieldGridSpec(nx=nx, ny=ny, region=region)
-    if cp.has_section("basin"):
-        basin = BasinSpec(
-            nx=_get_int(cp, "basin", "nx"),
-            ny=_get_int(cp, "basin", "ny"),
-            headings=_get_int(cp, "basin", "headings", 4),
-            t_max=_get_float(cp, "basin", "t_max", 600.0),
-            region=(_parse_region(cp.get("basin", "region"), "[basin]")
-                    if cp.has_option("basin", "region") else PADDED_WORKSPACE),
-        )
-    if cp.has_section("compare"):
-        names = tuple(cp.get("compare", "controllers", fallback="gvf los ngl").split())
-        for n in names:
-            if n not in ("gvf", "los", "ngl"):
-                raise ConfigError(f"[compare] unknown controller {n!r}")
-        compare = CompareSpec(
-            controllers=names,
-            settle_threshold=_get_float(cp, "compare", "settle_threshold", 5.0),
-            steady_window=_get_float(cp, "compare", "steady_window", 20.0),
-            touch_eps=_get_float(cp, "compare", "touch_eps", 0.5),
-        )
-
-    return Scenario(
-        name=name, controller=controller, u_r=u_r, dt=dt, t_max=t_max,
-        path=path, errmap=errmap, gvf=gvf, los=los, ngl=ngl, stop=stop,
-        poses=tuple(poses), field_grid=field_grid, basin=basin, compare=compare,
-    )
+    return Scenario(name=name, controller=controller, u_r=u_r, dt=dt, t_max=t_max,
+                    path=path, errmap=errmap, poses=tuple(poses), **sections)
 
 
 def load_scenario(path):
@@ -338,69 +348,43 @@ def _region_str(region):
             f"{_fmt(region.ymin)} {_fmt(region.ymax)}")
 
 
+# How a field of each type is parsed from and written to text.
+_CODECS = {
+    float: (_number, _fmt),
+    int: (_integer, str),
+    Region: (_parse_region, _region_str),
+    Direction: (_direction, lambda d: d.value),
+    tuple: (lambda raw, where: tuple(raw.split()), " ".join),
+}
+
+
+@functools.cache
+def _schema(cls):
+    """(name, default, parse, format) for each field of a section dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.default, *_CODECS[hints[f.name]]) for f in fields(cls))
+
+
 def serialize_scenario(scn):
     """Canonical text form of a scenario; inverse of parse_scenario."""
+    text = {
+        "scenario": {"name": scn.name, "controller": scn.controller,
+                     "u_r": _fmt(scn.u_r), "dt": _fmt(scn.dt), "t_max": _fmt(scn.t_max)},
+        "path": dict(_path_lines(scn.path)),
+        "error_map": dict(_errmap_lines(scn.errmap)),
+        "initial_poses": {label: f"{_fmt(p.x)} {_fmt(p.y)} {_fmt(p.alpha)}"
+                          for label, p in scn.poses},
+    }
+    for section, (attr, cls) in _DATACLASS_SECTIONS.items():
+        obj = getattr(scn, attr)
+        if obj is not None:
+            skip = ("u_r",) if cls is GvfParams else ()
+            text[section] = {name: fmt(getattr(obj, name))
+                             for name, _, _, fmt in _schema(cls) if name not in skip}
+
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-
-    cp["scenario"] = {
-        "name": scn.name,
-        "controller": scn.controller,
-        "u_r": _fmt(scn.u_r),
-        "dt": _fmt(scn.dt),
-        "t_max": _fmt(scn.t_max),
-    }
-    cp["path"] = dict(_path_lines(scn.path))
-    cp["error_map"] = dict(_errmap_lines(scn.errmap))
-    if scn.gvf is not None:
-        cp["controller.gvf"] = {
-            "k_n": _fmt(scn.gvf.k_n),
-            "k_delta": _fmt(scn.gvf.k_delta),
-            "degeneracy_eps": _fmt(scn.gvf.degeneracy_eps),
-        }
-    if scn.los is not None:
-        cp["controller.los"] = {
-            "lookahead": _fmt(scn.los.lookahead),
-            "k_los": _fmt(scn.los.k_los),
-            "direction": scn.los.direction.value,
-        }
-    if scn.ngl is not None:
-        cp["controller.ngl"] = {
-            "radius": _fmt(scn.ngl.radius),
-            "k_r": _fmt(scn.ngl.k_r),
-            "direction": scn.ngl.direction.value,
-        }
-    cp["stop"] = {
-        "tol_e": _fmt(scn.stop.tol_e),
-        "tol_d": _fmt(scn.stop.tol_d),
-        "t_dwell": _fmt(scn.stop.t_dwell),
-        "tol_c": _fmt(scn.stop.tol_c),
-    }
-    cp["initial_poses"] = {
-        label: f"{_fmt(p.x)} {_fmt(p.y)} {_fmt(p.alpha)}" for label, p in scn.poses
-    }
-    if scn.field_grid is not None:
-        cp["field_grid"] = {
-            "nx": str(scn.field_grid.nx),
-            "ny": str(scn.field_grid.ny),
-            "region": _region_str(scn.field_grid.region),
-        }
-    if scn.basin is not None:
-        cp["basin"] = {
-            "nx": str(scn.basin.nx),
-            "ny": str(scn.basin.ny),
-            "headings": str(scn.basin.headings),
-            "t_max": _fmt(scn.basin.t_max),
-            "region": _region_str(scn.basin.region),
-        }
-    if scn.compare is not None:
-        cp["compare"] = {
-            "controllers": " ".join(scn.compare.controllers),
-            "settle_threshold": _fmt(scn.compare.settle_threshold),
-            "steady_window": _fmt(scn.compare.steady_window),
-            "touch_eps": _fmt(scn.compare.touch_eps),
-        }
-
+    cp.read_dict({section: text[section] for section in _SECTIONS if section in text})
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

@@ -43,7 +43,7 @@ import numpy as np
 from . import controllers as ctl
 from . import field as gvf
 from .paths import PathError
-from .util import PADDED_WORKSPACE, wrap_angle
+from .util import PADDED_WORKSPACE, require_positive, wrap_angle
 
 _TINY = 1e-300
 
@@ -106,6 +106,11 @@ class StopPolicy:
     tol_d: float = 2.0
     t_dwell: float = 5.0
     tol_c: float = 1.0
+
+    def __post_init__(self):
+        require_positive(tol_e=self.tol_e, tol_d=self.tol_d, tol_c=self.tol_c)
+        if not self.t_dwell >= 0.0:
+            raise ValueError(f"t_dwell must be >= 0, got {self.t_dwell!r}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Shared numeric helpers: angle wrapping, working regions, scalar minimization."""
+"""Shared numeric helpers: angle wrapping, working regions, scalar minimization,
+parameter checks."""
 
 from __future__ import annotations
 
@@ -8,6 +9,16 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def require_positive(**values):
+    """Raise ValueError naming the first value that is not finite and > 0.
+
+    The test is `not 0 < v < inf`, so NaN fails it too.
+    """
+    for name, v in values.items():
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
 
 def wrap_angle(a):

@@ -1,20 +1,23 @@
-"""The benchmark's layer tracer still finds every function it wraps.
+"""The benchmark still runs against the current sources.
 
 perfbench/tracer.py wraps public functions of gvfpath by module attribute or
-class-dict entry.  A rename or move of one of them breaks traced benchmark
-runs, so this test installs and removes the tracer on the current sources.
+class-dict entry, and perfbench/workloads.py builds its inputs from the
+scenario and CLI API.  A rename or move of one of them breaks benchmark runs,
+so these tests install and remove the tracer and set up every workload.
 """
 
 import pathlib
 
 import numpy as np
+import pytest
 
 import gvfpath
 import gvfpath.analysis  # noqa: F401  (the tracer wraps functions here)
 import gvfpath.cli  # noqa: F401
 import gvfpath.scenario  # noqa: F401
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_layer_tracer_installs_and_restores(monkeypatch, ellipse):
@@ -39,3 +42,11 @@ def test_layer_tracer_installs_and_restores(monkeypatch, ellipse):
     assert tracer.stats["paths.distance_many"]["points"] == 5
     for (owner, attr, name, _), orig in zip(table, originals):
         assert owner.__dict__[attr] is orig, name
+
+
+@pytest.mark.parametrize("name", ["experiment", "basin", "compare", "trace"])
+def test_workload_sets_up(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    WORKLOADS[name](ROOT, 1)

@@ -10,13 +10,14 @@ from gvfpath import (
     DegeneracyError,
     GvfParams,
     Pose,
+    gvf_control,
     guiding_field,
     heading_error,
     rotation_rate,
     wrap_angle,
 )
 from gvfpath.field import compose_heading, field_arrays, steering_arrays
-from gvfpath.util import PADDED_WORKSPACE
+from gvfpath.util import PADDED_WORKSPACE, WORKSPACE
 
 
 def test_gvf_params_validation():
@@ -164,6 +165,24 @@ def test_heading_error_examples():
 def test_heading_error_rejects_non_unit():
     with pytest.raises(ValueError):
         heading_error((0.5, 0.0), 0.0)
+
+
+def test_heading_error_matches_steering_bitwise(cassini, identity, exp_params):
+    # The scalar heading_error and the steering kernel share one formula, so
+    # they return the same float at every regular pose.
+    rng = np.random.default_rng(3000)
+    differ, regular = [], 0
+    for (x, y), alpha in zip(WORKSPACE.sample(rng, 3000), rng.uniform(-3.2, 3.2, 3000)):
+        pose = Pose(x, y, alpha)
+        g = guiding_field(cassini, identity, exp_params, pose.xy)
+        if not g.regular:
+            continue
+        regular += 1
+        delta = gvf_control(cassini, identity, exp_params, pose).delta
+        if heading_error(g.m_d, pose.alpha) != delta:
+            differ.append(pose)
+    assert regular > 2900
+    assert differ == []
 
 
 @settings(max_examples=300)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvfpath import EllipsePath, IdentityMap, Region
+from gvfpath import EllipsePath, GvfParams, IdentityMap, Region, StopPolicy
 from gvfpath.cli import (
     basin_sweep,
     compare_controllers,
@@ -16,7 +16,10 @@ from gvfpath.cli import (
     write_critical_report,
 )
 from gvfpath.scenario import (
+    BasinSpec,
+    CompareSpec,
     ConfigError,
+    FieldGridSpec,
     bundled_config_text,
     bundled_scenario,
     parse_scenario,
@@ -24,6 +27,7 @@ from gvfpath.scenario import (
 )
 
 BUNDLED = ["ellipse_experiment.cfg", "cassini_experiment.cfg", "comparison_experiment.cfg"]
+ELLIPSE = bundled_config_text("ellipse_experiment.cfg")
 
 SMALL_SCENARIO = """
 [scenario]
@@ -104,6 +108,65 @@ def test_parse_rejects_bad_values():
         parse_scenario(SMALL_SCENARIO.replace("R = 400.0", "R = -400.0"))
 
 
+LOS = "[controller.los]\nlookahead = 70.0\nk_los = 2.0\n"
+
+# Edits of the bundled ellipse config that must fail to load: (text replaced,
+# replacement, CLI verb, what the message must contain: section and key).
+INVALID = [
+    pytest.param("k_n = 3.0", "k_n = nan", "simulate", "[controller.gvf] k_n",
+                 id="k_n-nan"),
+    pytest.param("u_r = 50.0", "u_r = nan", "simulate", "[scenario] u_r", id="u_r-nan"),
+    pytest.param("t_max = 120.0", "t_max = inf", "simulate", "[scenario] t_max",
+                 id="t_max-inf"),
+    pytest.param("t_max = 600.0", "t_max = inf", "basin", "[basin] t_max",
+                 id="basin-t_max-inf"),
+    pytest.param("tol_d = 2.0", "tol_d = nan", "simulate", "[stop] tol_d",
+                 id="tol_d-nan"),
+    pytest.param("t_dwell = 5.0", "t_dwel = 5.0", "simulate", "[stop] t_dwel",
+                 id="t_dwel"),
+    pytest.param("[stop]", "[controler.ngl]\nradius = 40.0\nk_r = 2.0\n\n[stop]",
+                 "simulate", "[controler.ngl]", id="controler.ngl"),
+    pytest.param("headings = 4", "headings = 0", "basin", "[basin] headings",
+                 id="headings-0"),
+    pytest.param("[stop]", LOS + "direction = sideways\n\n[stop]", "simulate",
+                 "[controller.los] direction must be forward or reverse",
+                 id="direction-sideways"),
+]
+
+
+@pytest.mark.parametrize("old,new,verb,needle", INVALID)
+def test_invalid_config_names_section_and_key(old, new, verb, needle, tmp_path, capsys):
+    assert old in ELLIPSE
+    text = ELLIPSE.replace(old, new, 1)
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text)
+    assert needle in str(err.value)
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main([verb, str(cfg), "-o", str(tmp_path / "out")]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and needle in stderr
+    assert "Traceback" not in stderr
+
+
+def test_section_defaults_and_checks_live_in_the_dataclasses():
+    scn = parse_scenario(SMALL_SCENARIO + "\n[field_grid]\nnx = 3\nny = 3\n"
+                         "\n[basin]\nnx = 5\nny = 5\n\n[compare]\n")
+    assert scn.field_grid == FieldGridSpec(nx=3, ny=3)
+    assert scn.basin == BasinSpec(nx=5, ny=5)
+    assert scn.compare == CompareSpec()
+    assert scn.stop == StopPolicy()
+    # A direct caller gets the checks the parser applies.
+    for make in (lambda: GvfParams(k_n=math.nan, k_delta=2.0, u_r=50.0),
+                 lambda: StopPolicy(tol_d=math.nan),
+                 lambda: BasinSpec(nx=5, ny=5, headings=0),
+                 lambda: FieldGridSpec(nx=1, ny=5),
+                 lambda: CompareSpec(controllers=("gvf", "pid"))):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_run_scenario_outputs_are_deterministic(tmp_path):
     scn = parse_scenario(SMALL_SCENARIO)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -158,6 +221,17 @@ def test_field_grid_ellipse_flags_center(tmp_path, ellipse, identity):
     good = [r for r in rows if r["regular"] == "1"]
     norms = [math.hypot(float(r["m_d_x"]), float(r["m_d_y"])) for r in good]
     assert max(abs(n - 1.0) for n in norms) < 1e-9
+
+
+def test_cli_field_uses_degeneracy_eps(tmp_path):
+    # 0.5 is above |grad phi| at every node of the grid, so every node is
+    # degenerate, as every simulate start is with this threshold.
+    cfg = tmp_path / "eps.cfg"
+    cfg.write_text(ELLIPSE.replace("degeneracy_eps = 1e-09", "degeneracy_eps = 0.5"))
+    assert main(["field", str(cfg), "-o", str(tmp_path)]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "field_grid.csv")))
+    assert len(rows) == 1600
+    assert all(r["regular"] == "0" for r in rows)
 
 
 def _clusters(points, radius):

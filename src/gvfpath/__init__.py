@@ -9,13 +9,11 @@ from .analysis import (
     Classification,
     CriticalPoint,
     CriticalPointSearch,
-    InvariantSetSpec,
     ViabilityReport,
     classify_critical_point,
     critical_error_threshold,
     find_critical_points,
     in_invariant_set,
-    invariant_set_spec,
     viability_check,
 )
 from .controllers import (
@@ -27,8 +25,6 @@ from .controllers import (
     NglParams,
     Projection,
     gvf_control,
-    los_control,
-    ngl_control,
     project_to_path,
 )
 from .field import (
@@ -46,16 +42,12 @@ from .paths import (
     ContourNotFoundError,
     EllipsePath,
     ErrorMap,
-    FieldSample,
     IdentityMap,
     LinePath,
     PathError,
     PolynomialPath,
     RationalSignPower,
     check_derivatives,
-    distance_to_path,
-    eval_error,
-    eval_path,
     make_error_map,
     make_path,
 )
@@ -66,14 +58,10 @@ from .sim import (
     TerminationKind,
     TraceLabel,
     TraceMode,
-    TraceResult,
     Trajectory,
-    lyapunov_series,
     simulate,
     simulate_gvf_batch,
-    step_unicycle,
     trace_batch,
-    trace_integral_curve,
 )
 from .util import PADDED_WORKSPACE, WORKSPACE, Region, wrap_angle
 

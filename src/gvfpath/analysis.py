@@ -29,6 +29,9 @@ import numpy as np
 from . import field as gvf
 from .util import PADDED_WORKSPACE, bisect_root
 
+# The critical-point search seeds Newton from a GRID_N x GRID_N lattice and
+# merges roots closer than MERGE_RADIUS (Px).
+GRID_N = 64
 NEWTON_GRAD_TOL = 1e-12
 NEWTON_MAX_ITER = 60
 MERGE_RADIUS = 1e-6
@@ -63,37 +66,18 @@ class CriticalPointSearch:
     locations: list
     unclassifiable: list
 
-    def __iter__(self):
-        return iter(self.locations)
 
-    def __len__(self):
-        return len(self.locations)
-
-
-@dataclass(frozen=True)
-class InvariantSetSpec:
-    e_c: float
-    k_n: float
-
-    @property
-    def delta_band(self):
-        """Half-width of the admissible heading band, arctan(k_n e_c)."""
-        return math.atan(self.k_n * self.e_c)
-
-
-def find_critical_points(path, region=None, grid_n=64, merge_radius=MERGE_RADIUS):
+def find_critical_points(path, region=None):
     """Newton search for gradient zeros from a grid of seeds.
 
-    Seeds a grid_n x grid_n lattice over the region (default: the path's
-    working region or the padded workspace), iterates Newton steps with the
-    Hessian as Jacobian, keeps roots with |grad| < 1e-12, merges duplicates
-    within merge_radius, and sorts lexicographically.
+    Seeds a 64 x 64 lattice over the region (default: the path's working
+    region or the padded workspace), iterates Newton steps with the Hessian
+    as Jacobian, keeps roots with |grad| < 1e-12, merges duplicates within
+    1e-6 Px, and sorts lexicographically.
     """
-    if grid_n < 16:
-        raise ValueError("grid_n must be at least 16")
     if region is None:
         region = getattr(path, "region", PADDED_WORKSPACE)
-    pts = region.grid(grid_n, grid_n).astype(float)
+    pts = region.grid(GRID_N, GRID_N).astype(float)
 
     for _ in range(NEWTON_MAX_ITER):
         g = path.grad(pts)
@@ -115,7 +99,7 @@ def find_critical_points(path, region=None, grid_n=64, merge_radius=MERGE_RADIUS
     merged = []
     for p in roots:
         for q in merged:
-            if np.hypot(p[0] - q[0], p[1] - q[1]) < merge_radius:
+            if np.hypot(p[0] - q[0], p[1] - q[1]) < MERGE_RADIUS:
                 break
         else:
             merged.append(p)
@@ -179,14 +163,6 @@ def critical_error_threshold(path, errmap, critical_points):
                      for p in locs))
 
 
-def invariant_set_spec(path, errmap, k_n, critical_points=None, region=None):
-    if critical_points is None:
-        found = find_critical_points(path, region=region)
-        critical_points = list(found.locations) + list(found.unclassifiable)
-    return InvariantSetSpec(
-        e_c=critical_error_threshold(path, errmap, critical_points), k_n=k_n)
-
-
 def in_invariant_set(path, errmap, k_n, e_c, pose, degeneracy_eps=1e-9):
     """Strict membership test for M (regular, |delta| and |e| inside bounds)."""
     fs = gvf.field_arrays(path, errmap, k_n, pose.xy, eps=degeneracy_eps)
@@ -205,6 +181,9 @@ class ViabilityReport:
 
 
 VIABILITY_RASTER = 512
+# Poses sampled inside M keep |e| and |delta| below this fraction of their
+# bounds.
+SAMPLE_MARGIN = 0.98
 
 
 def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None,
@@ -273,12 +252,12 @@ def _raster_viability_distance(path, errmap, p0, e_c, region):
 
 
 def sample_invariant_set(path, errmap, k_n, e_c, n, rng, region=None,
-                         margin=0.98, degeneracy_eps=1e-9):
+                         degeneracy_eps=1e-9):
     """n poses sampled strictly inside M, as an (n, 3) array.
 
-    Positions are drawn uniformly over the region subject to |e| < margin*e_c
-    and regularity; headings are composed from a heading error drawn uniformly
-    in (-margin*band, margin*band).
+    Positions are drawn uniformly over the region subject to
+    |e| < 0.98 e_c and regularity; headings are composed from a heading
+    error drawn uniformly in (-0.98 band, 0.98 band).
     """
     if region is None:
         region = getattr(path, "region", PADDED_WORKSPACE)
@@ -287,9 +266,10 @@ def sample_invariant_set(path, errmap, k_n, e_c, n, rng, region=None,
     while len(out) < n:
         pts = region.sample(rng, 4 * n)
         fs = gvf.field_arrays(path, errmap, k_n, pts, eps=degeneracy_eps)
-        keep = fs["regular"] & (np.abs(fs["e"]) < margin * e_c)
+        keep = fs["regular"] & (np.abs(fs["e"]) < SAMPLE_MARGIN * e_c)
         pts, m_d = pts[keep], fs["m_d"][keep]
-        delta = rng.uniform(-margin * band, margin * band, size=len(pts))
+        delta = rng.uniform(-SAMPLE_MARGIN * band, SAMPLE_MARGIN * band,
+                            size=len(pts))
         alpha = gvf.compose_heading(m_d, delta)
         out = np.vstack([out, np.column_stack([pts, alpha])])
     return out[:n]

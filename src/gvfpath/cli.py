@@ -19,7 +19,7 @@ wrapped, for every controller.  For the baselines, delta is the wrapped
 heading error to the guidance bearing and omega_d is the curvature
 feedforward (LOS) or 0 (NGL).  The dist_path column is the
 nearest-boundary-sample distance (resolution about 0.25 Px for the bundled
-paths); use `gvfpath.distance_to_path` for refined point queries.
+paths); use `path.distance` for refined point queries.
 """
 
 from __future__ import annotations
@@ -123,18 +123,16 @@ def run_scenario(scn, out_dir):
 
 
 def export_field_grid(path, errmap, k_n, region, nx, ny, out_file,
-                      critical_points=None, degeneracy_eps=1e-9):
+                      degeneracy_eps=1e-9):
     """Write rows (x, y, m_d_x, m_d_y, e, regular) on an nx*ny grid.
 
     A node is flagged degenerate (regular = 0, NaN direction) when the
     gradient is below the degeneracy threshold or the node lies within half a
-    cell diagonal of a critical point.
+    cell diagonal of a critical point found in the region.
     """
     if nx < 2 or ny < 2:
         raise ValueError("field grid resolution must be at least 2")
-    if critical_points is None:
-        critical_points = sim._critical_locations(path, region)
-    crit = np.asarray(critical_points, dtype=float).reshape(-1, 2)
+    crit = sim._critical_locations(path, region)
 
     pts = region.grid(nx, ny)
     fs = gvf.field_arrays(path, errmap, k_n, pts, eps=degeneracy_eps)

@@ -144,8 +144,7 @@ def project_to_path(path, point, direction=Direction.FORWARD):
     dist_at = path._param_dist(p)
     minima = []
     for k in np.flatnonzero(is_min):
-        s_star, d_star = golden_min(dist_at, *path._bracket(k, 1.0 / PROJECTION_SEEDS),
-                                    iters=45)
+        s_star, d_star = golden_min(dist_at, *path._bracket(k, 1.0 / PROJECTION_SEEDS))
         if path.closed:
             s_star = s_star % 1.0
         minima.append((d_star, s_star))
@@ -198,11 +197,6 @@ def los_sample(path, params, pose, u_r):
     return BaselineSample(omega=ffwd - params.k_los * herr, bearing=alpha_los,
                           heading_error=herr, feedforward=ffwd,
                           target=target, target_s=proj.s)
-
-
-def los_control(path, params, pose, u_r):
-    """LOS turn rate: curvature feedforward plus bearing-error feedback."""
-    return los_sample(path, params, pose, u_r).omega
 
 
 NGL_SCAN_SAMPLES = BOUNDARY_SAMPLES  # the scan reuses the cached boundary samples
@@ -269,8 +263,3 @@ def ngl_sample(path, params, pose):
     return BaselineSample(omega=-params.k_r * herr, bearing=alpha_r,
                           heading_error=herr, feedforward=0.0,
                           target=target, target_s=float(s_target))
-
-
-def ngl_control(path, params, pose):
-    """NGL turn rate toward the circle-path intersection lying ahead."""
-    return ngl_sample(path, params, pose).omega

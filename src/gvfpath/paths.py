@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .util import PADDED_WORKSPACE, TWO_PI, Region, golden_min
+from .util import PADDED_WORKSPACE, TWO_PI, Region, golden_min, require_positive
 
 # Distance queries sample the parametric form this densely, then refine the
 # best bracket by golden section down to ~1e-9 relative in s.
@@ -43,13 +43,16 @@ class ContourNotFoundError(RuntimeError):
     """The zero contour does not intersect the configured working region."""
 
 
-@dataclass
-class FieldSample:
-    """phi, gradient (the normal n) and symmetric Hessian at one point."""
-
-    phi: float
-    grad: np.ndarray
-    hess: np.ndarray
+def _require_params(kind, finite, positive):
+    """Raise PathError naming the first parameter that is not finite, or of
+    the positive ones, not finite and > 0 (NaN fails both tests)."""
+    for name, v in finite.items():
+        if not math.isfinite(v):
+            raise PathError(f"{kind}: {name} must be finite, got {v!r}")
+    try:
+        require_positive(**positive)
+    except ValueError as exc:
+        raise PathError(f"{kind}: {exc}") from None
 
 
 def _pts(p):
@@ -179,7 +182,7 @@ class ImplicitPath:
         if self.has_parametric:
             _, k = self.nearest_boundary(p)
             _, d = golden_min(self._param_dist(p),
-                              *self._bracket(int(k), 1.0 / BOUNDARY_SAMPLES), iters=45)
+                              *self._bracket(int(k), 1.0 / BOUNDARY_SAMPLES))
             return d
         contour = self._contour_pts
         return float(np.min(np.hypot(*(contour - p).T)))
@@ -236,6 +239,7 @@ class LinePath(ImplicitPath):
     closed = False
 
     def __post_init__(self):
+        _require_params("line", dict(a=self.a, b=self.b, c=self.c), {})
         if self.a == 0.0 and self.b == 0.0:
             raise PathError("line requires (a, b) != (0, 0)")
 
@@ -295,8 +299,8 @@ class CirclePath(ImplicitPath):
     closed = True
 
     def __post_init__(self):
-        if self.radius <= 0.0 or self.k_s <= 0.0:
-            raise PathError("circle requires radius > 0 and k_s > 0")
+        _require_params("circle", dict(x0=self.x0, y0=self.y0),
+                        dict(radius=self.radius, k_s=self.k_s))
 
     def phi(self, p):
         p = _pts(p)
@@ -343,8 +347,8 @@ class EllipsePath(ImplicitPath):
     closed = True
 
     def __post_init__(self):
-        if min(self.R, self.p, self.q, self.k_s) <= 0.0:
-            raise PathError("ellipse requires R, p, q, k_s > 0")
+        _require_params("ellipse", dict(x0=self.x0, y0=self.y0),
+                        dict(R=self.R, p=self.p, q=self.q, k_s=self.k_s))
 
     def phi(self, pt):
         pt = _pts(pt)
@@ -391,8 +395,8 @@ class CassiniPath(ImplicitPath):
     closed = True
 
     def __post_init__(self):
-        if min(self.p, self.q, self.k_s) <= 0.0:
-            raise PathError("cassini requires p, q, k_s > 0")
+        _require_params("cassini", dict(x0=self.x0, y0=self.y0),
+                        dict(p=self.p, q=self.q, k_s=self.k_s))
         if self.p <= self.q:
             raise PathError("cassini supported only in the single-loop regime p > q")
 
@@ -454,6 +458,7 @@ class PolynomialPath(ImplicitPath):
             i, j, c = int(t[0]), int(t[1]), float(t[2])
             if i < 0 or j < 0:
                 raise PathError(f"negative exponent in term {t}")
+            _require_params("polynomial", {f"terms {t}": c}, {})
             norm.append((i, j, c))
         object.__setattr__(self, "terms", tuple(norm))
 
@@ -536,17 +541,6 @@ def make_path(kind, params):
         return cls(**params)
     except TypeError as exc:
         raise PathError(f"bad parameters for {key}: {exc}") from None
-
-
-def eval_path(path, point):
-    """phi, gradient and Hessian at one point, as a FieldSample."""
-    p = _pts(point)
-    return FieldSample(phi=float(path.phi(p)), grad=path.grad(p), hess=path.hess(p))
-
-
-def distance_to_path(path, point):
-    """Euclidean distance from a point to the path's zero set."""
-    return path.distance(point)
 
 
 def check_derivatives(path, point, h=None):
@@ -687,8 +681,3 @@ def make_error_map(kind, p=None):
             raise ValueError("identity error map takes no power")
         return IdentityMap()
     return _ERROR_MAPS[key](p=1.0 if p is None else float(p))
-
-
-def eval_error(errmap, phi):
-    """Tracking error e = psi(phi) and the derivative psi'(phi)."""
-    return float(errmap.psi(phi)), float(errmap.psi_prime(phi))

@@ -28,7 +28,7 @@ GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or
 Timeout.  Convergence requires |e| < tol_e and the distance to the path
 below tol_d sustained for a dwell window.  Distances used inside the loop
 come from the 4096-sample boundary cache (resolution about half a sample
-spacing); use `distance_to_path` for refined point queries.  Non-finite
+spacing); use `path.distance` for refined point queries.  Non-finite
 starts are invalid input and raise ValueError.
 """
 
@@ -48,7 +48,10 @@ from .util import PADDED_WORKSPACE, require_positive, wrap_angle
 _TINY = 1e-300
 
 
-class TerminationKind(enum.Enum):
+class TerminationKind(str, enum.Enum):
+    """How a run ended.  Members are strs equal to their values, so arrays of
+    them sort (np.unique) by value."""
+
     CONVERGED = "converged_to_path"
     CRITICAL = "reached_critical_set"
     TIMEOUT = "timeout"
@@ -61,7 +64,9 @@ class TraceMode(enum.Enum):
     NORMALIZED = "normalized"
 
 
-class TraceLabel(enum.Enum):
+class TraceLabel(str, enum.Enum):
+    """How an integral curve ended; a str enum like TerminationKind."""
+
     PATH = "path"
     CRITICAL = "critical"
     ESCAPED = "escaped"
@@ -147,14 +152,6 @@ def _rk4_step(x, y, alpha, u_r, omega, dt):
     x1 = x + dt * u_r / 6.0 * (np.cos(alpha) + 4.0 * np.cos(a_mid) + np.cos(a_end))
     y1 = y + dt * u_r / 6.0 * (np.sin(alpha) + 4.0 * np.sin(a_mid) + np.sin(a_end))
     return x1, y1, a_end
-
-
-def step_unicycle(pose, u_r, omega, dt):
-    """Advance a pose by one RK4 step; dt = 0 returns the pose unchanged."""
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
-    x, y, a = _rk4_step(pose.x, pose.y, pose.alpha, u_r, omega, dt)
-    return Pose(float(x), float(y), float(a))
 
 
 def _critical_locations(path, region):
@@ -389,15 +386,6 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
 # Integral curves of the raw and normalized fields
 
 
-@dataclass
-class TraceResult:
-    t: np.ndarray
-    points: np.ndarray
-    e: np.ndarray
-    label: TraceLabel
-    t_final: float
-
-
 def _trace_command(path, errmap, k_n, mode, u_r, dt):
     """Classical RK4 on the raw field v or the normalized field u_r m_d."""
 
@@ -429,35 +417,12 @@ def _trace_command(path, errmap, k_n, mode, u_r, dt):
     return command
 
 
-def trace_integral_curve(path, errmap, k_n, start, mode, dt, t_max, u_r=1.0,
-                         stop=StopPolicy(), domain=PADDED_WORKSPACE,
-                         critical_points=None):
-    """Trace one integral curve of the raw field (xi' = v) or normalized
-    field (r' = u_r m_d) and label the outcome."""
-    starts = np.asarray(start, dtype=float).reshape(1, 2)
-    traj_pts, traj_e = [], []
-
-    def record(t, ids, pts, e):
-        traj_pts.append(pts[0].copy())
-        traj_e.append(float(e[0]))
-
-    labels, t_final = trace_batch(path, errmap, k_n, starts, mode, dt, t_max,
-                                  u_r=u_r, stop=stop, domain=domain,
-                                  critical_points=critical_points, record=record)
-    pts = np.asarray(traj_pts)
-    return TraceResult(
-        t=np.arange(len(pts)) * dt,
-        points=pts,
-        e=np.asarray(traj_e),
-        label=labels[0],
-        t_final=float(t_final[0]),
-    )
-
-
 def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
                 stop=StopPolicy(), domain=PADDED_WORKSPACE,
                 critical_points=None, record=None):
-    """Trace a batch of integral curves; returns (labels, t_final) per run.
+    """Trace integral curves of the raw field (xi' = v) or the normalized
+    field (r' = u_r m_d) from a batch of starts; returns (labels, t_final)
+    per run.
 
     `record`, if given, is called once per step as record(t, ids, pts, e).
     """
@@ -468,10 +433,3 @@ def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
                              path, starts, dt, t_max, stop, domain,
                              critical_points, rec)
     return _LABELS[code], t_final
-
-
-def lyapunov_series(path, errmap, run):
-    """(t, V) pairs with V = e^2 / 2 along a Trajectory or TraceResult."""
-    if not isinstance(run, (Trajectory, TraceResult)):
-        raise TypeError(f"expected Trajectory or TraceResult, got {type(run)}")
-    return np.column_stack([run.t, 0.5 * np.asarray(run.e) ** 2])

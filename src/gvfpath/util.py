@@ -94,17 +94,19 @@ WORKSPACE = Region(0.0, 1280.0, 0.0, 720.0)
 PADDED_WORKSPACE = WORKSPACE.padded(2.0)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 45
 
 
-def golden_min(f, a, b, iters=40):
+def golden_min(f, a, b):
     """Golden-section minimum of a unimodal scalar f on [a, b].
 
-    Returns (argmin, min). 40 iterations shrink the bracket by ~1e-9.
+    Returns (argmin, min). The 45 iterations shrink the bracket by a factor
+    of about 4e-10.
     """
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)

@@ -24,7 +24,6 @@ from gvfpath import (
     TraceMode,
     check_derivatives,
     classify_critical_point,
-    distance_to_path,
     find_critical_points,
     simulate,
     wrap_angle,
@@ -209,7 +208,7 @@ def test_criterion_06_experiment_reproduction():
             traj = simulate(scn.path, scn.errmap, scn.gvf, pose, dt=0.005,
                             t_max=120.0, stop=scn.stop, critical_points=crit)
             e_fin = abs(float(traj.e[-1]))
-            d_fin = distance_to_path(scn.path, (traj.x[-1], traj.y[-1]))
+            d_fin = scn.path.distance((traj.x[-1], traj.y[-1]))
             good = (traj.termination.kind is TerminationKind.CONVERGED
                     and e_fin < 1e-2 and d_fin < 2.0
                     and traj.termination.t_final <= 120.0)

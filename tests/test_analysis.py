@@ -14,7 +14,6 @@ from gvfpath import (
     critical_error_threshold,
     find_critical_points,
     in_invariant_set,
-    invariant_set_spec,
     viability_check,
 )
 from gvfpath.analysis import sample_invariant_set
@@ -45,11 +44,6 @@ def test_find_critical_points_cassini(cassini):
 def test_find_critical_points_line_empty(line_y0):
     found = find_critical_points(line_y0)
     assert not found.locations and not found.unclassifiable
-
-
-def test_find_critical_points_validates_grid(ellipse):
-    with pytest.raises(ValueError):
-        find_critical_points(ellipse, grid_n=8)
 
 
 def test_degenerate_hessian_reported_not_dropped():
@@ -105,9 +99,11 @@ def test_critical_error_threshold_values(ellipse, cassini, line_y0, identity):
 
 
 def test_invariant_set_spec_band(ellipse, identity):
-    spec = invariant_set_spec(ellipse, identity, 3.0)
-    assert spec.e_c == pytest.approx(1.6)
-    assert spec.delta_band == pytest.approx(math.atan(4.8))
+    found = find_critical_points(ellipse)
+    e_c = critical_error_threshold(ellipse, identity,
+                                   found.locations + found.unclassifiable)
+    assert e_c == pytest.approx(1.6)
+    assert math.atan(3.0 * e_c) == pytest.approx(math.atan(4.8))
 
 
 def test_in_invariant_set_examples(ellipse, identity, exp_params):

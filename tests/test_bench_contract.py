@@ -3,9 +3,11 @@
 perfbench/tracer.py wraps public functions of gvfpath by module attribute or
 class-dict entry, and perfbench/workloads.py builds its inputs from the
 scenario and CLI API.  A rename or move of one of them breaks benchmark runs,
-so these tests install and remove the tracer and set up every workload.
+so these tests install and remove the tracer, set up every workload and bind
+the workloads' timed calls to the current signatures.
 """
 
+import inspect
 import pathlib
 
 import numpy as np
@@ -50,3 +52,21 @@ def test_workload_sets_up(monkeypatch, name):
     from workloads import WORKLOADS
 
     WORKLOADS[name](ROOT, 1)
+
+
+def test_workload_calls_bind():
+    # The argument shapes of the calls in the workloads' run_round and check;
+    # a removed keyword or positional parameter fails to bind.
+    sim, analysis, cli = gvfpath.sim, gvfpath.analysis, gvfpath.cli
+
+    def bind(fn, *args, **kwargs):
+        inspect.signature(fn).bind(*args, **kwargs)
+
+    bind(sim.trace_batch, "path", "errmap", 3.0, "starts", "mode", 0.005, 1.0,
+         u_r=50.0, stop="stop", critical_points="crit", record=None)
+    bind(analysis.find_critical_points, "path", region="region")
+    bind(cli.export_field_grid, *range(7))
+    bind(cli.run_scenario, "scn", "out_dir")
+    bind(cli.write_critical_report, "scn", "out_file")
+    bind(cli.basin_sweep, "scn", "out_file")
+    bind(cli.compare_controllers, "scn", "out_dir")

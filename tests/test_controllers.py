@@ -12,8 +12,6 @@ from gvfpath import (
     NglParams,
     Pose,
     gvf_control,
-    los_control,
-    ngl_control,
     project_to_path,
 )
 from gvfpath.controllers import los_sample, ngl_sample
@@ -101,8 +99,8 @@ def test_project_reverse_flips_orientation(ellipse):
 def test_los_line_geometry(line_y0):
     # Robot 70 above the line, aiming at the lookahead point 70 ahead: the
     # bearing is -pi/4 and the heading error vanishes.
-    w = los_control(line_y0, LosParams(lookahead=70.0, k_los=2.0),
-                    Pose(0.0, 70.0, -math.pi / 4), u_r=13.0)
+    w = los_sample(line_y0, LosParams(lookahead=70.0, k_los=2.0),
+                   Pose(0.0, 70.0, -math.pi / 4), u_r=13.0).omega
     assert w == pytest.approx(0.0, abs=1e-6)
 
 
@@ -111,8 +109,8 @@ def test_los_on_path_feedforward(ellipse, unit_circle):
                    Pose(1000.0, 350.0, -math.pi / 2), u_r=50.0)
     assert s.heading_error == pytest.approx(0.0, abs=1e-6)
     assert s.omega == pytest.approx(-0.01 * 50.0, abs=1e-5)
-    w = los_control(unit_circle, LosParams(lookahead=0.4, k_los=2.0),
-                    Pose(1.0, 0.0, -math.pi / 2), u_r=1.0)
+    w = los_sample(unit_circle, LosParams(lookahead=0.4, k_los=2.0),
+                   Pose(1.0, 0.0, -math.pi / 2), u_r=1.0).omega
     assert abs(w) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -132,7 +130,7 @@ def test_ngl_three_four_five(line_y0):
 
 def test_ngl_infeasible_when_far(line_y0):
     with pytest.raises(GuidanceInfeasibleError):
-        ngl_control(line_y0, NglParams(radius=50.0, k_r=2.0), Pose(0.0, 100.0, 0.0))
+        ngl_sample(line_y0, NglParams(radius=50.0, k_r=2.0), Pose(0.0, 100.0, 0.0))
 
 
 @pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.REVERSE])

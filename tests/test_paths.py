@@ -18,9 +18,6 @@ from gvfpath import (
     RationalSignPower,
     Region,
     check_derivatives,
-    distance_to_path,
-    eval_error,
-    eval_path,
     make_error_map,
     make_path,
 )
@@ -49,28 +46,49 @@ def test_make_path_rejects_bad_params():
         make_path("circle", dict(x0=0, y0=0, radius=1.0, k_s=1.0, bogus=2.0))
 
 
-def test_eval_path_ellipse_points(ellipse):
-    on = eval_path(ellipse, (1000.0, 350.0))
-    assert on.phi == pytest.approx(0.0, abs=1e-12)
-    assert on.grad == pytest.approx([0.008, 0.0], abs=1e-15)
+VALID_PARAMS = {
+    "line": dict(a=0.0, b=1.0, c=-350.0),
+    "circle": dict(x0=640.0, y0=360.0, radius=250.0, k_s=1.0),
+    "ellipse": dict(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    "cassini": dict(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+}
 
-    center = eval_path(ellipse, (600.0, 350.0))
-    assert center.phi == pytest.approx(-1.6, abs=1e-12)
-    assert np.hypot(*center.grad) == 0.0
-    assert center.hess == pytest.approx(np.diag([2e-5, 8e-5]))
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind,name", [
+    (kind, name) for kind, params in VALID_PARAMS.items() for name in params
+] + [("polynomial", "terms")])
+def test_make_path_rejects_non_finite_params(kind, name, value):
+    if kind == "polynomial":
+        params = dict(terms=((2, 0, 1.0), (0, 2, value), (0, 0, -1.0)))
+    else:
+        params = {**VALID_PARAMS[kind], name: value}
+    with pytest.raises(PathError, match=rf"{kind}: .*{name}.* must be"):
+        make_path(kind, params)
+
+
+def test_eval_path_ellipse_points(ellipse):
+    on = np.array([1000.0, 350.0])
+    assert ellipse.phi(on) == pytest.approx(0.0, abs=1e-12)
+    assert ellipse.grad(on) == pytest.approx([0.008, 0.0], abs=1e-15)
+
+    center = np.array([600.0, 350.0])
+    assert ellipse.phi(center) == pytest.approx(-1.6, abs=1e-12)
+    assert np.hypot(*ellipse.grad(center)) == 0.0
+    assert ellipse.hess(center) == pytest.approx(np.diag([2e-5, 8e-5]))
 
 
 def test_eval_path_cassini_locus(cassini):
-    s = eval_path(cassini, (900.0, 350.0))
-    assert np.hypot(*s.grad) == 0.0
-    assert s.phi == pytest.approx(-1.185921, abs=1e-9)
+    locus = np.array([900.0, 350.0])
+    assert np.hypot(*cassini.grad(locus)) == 0.0
+    assert cassini.phi(locus) == pytest.approx(-1.185921, abs=1e-9)
 
 
 def test_line_constant_derivatives(line_y0):
-    s = eval_path(line_y0, (3.0, 7.0))
-    assert s.phi == 7.0
-    assert s.grad == pytest.approx([0.0, 1.0])
-    assert not s.hess.any()
+    p = np.array([3.0, 7.0])
+    assert line_y0.phi(p) == 7.0
+    assert line_y0.grad(p) == pytest.approx([0.0, 1.0])
+    assert not line_y0.hess(p).any()
 
 
 def test_hessian_symmetric_everywhere(ellipse, cassini, rng):
@@ -88,13 +106,12 @@ def test_parametric_form_lies_on_zero_set(fixture, request):
 
 
 def test_eval_error_examples():
-    assert eval_error(IdentityMap(), 4.8) == (4.8, 1.0)
-    e, pp = eval_error(ArctanPower(1.0), 1.0)
-    assert e == pytest.approx(math.pi / 4)
-    assert pp == pytest.approx(0.5)
+    assert (IdentityMap().psi(4.8), IdentityMap().psi_prime(4.8)) == (4.8, 1.0)
+    assert ArctanPower(1.0).psi(1.0) == pytest.approx(math.pi / 4)
+    assert ArctanPower(1.0).psi_prime(1.0) == pytest.approx(0.5)
     for errmap in ALL_MAPS:
-        assert eval_error(errmap, 0.0) == (0.0, pytest.approx(errmap.psi_prime(0.0)))
         assert errmap.psi(0.0) == 0.0
+        assert np.isfinite(errmap.psi_prime(0.0))
 
 
 def test_error_map_power_validation():
@@ -131,7 +148,7 @@ def test_psi_strictly_increasing(errmap, s1, gap):
                      st.floats(-1e4, 1e4).filter(lambda v: abs(v) > 1e-60)))
 @pytest.mark.parametrize("errmap", ALL_MAPS, ids=lambda m: repr(m))
 def test_error_vanishes_iff_phi_vanishes(errmap, phi):
-    e, _ = eval_error(errmap, phi)
+    e = float(errmap.psi(phi))
     if phi == 0.0:
         assert e == 0.0
     else:
@@ -139,22 +156,36 @@ def test_error_vanishes_iff_phi_vanishes(errmap, phi):
 
 
 def test_distance_examples(ellipse, line_y0):
-    assert distance_to_path(ellipse, (1000.0, 350.0)) < 1e-6
+    assert ellipse.distance((1000.0, 350.0)) < 1e-6
     # Oracle for the center: dense sampling of the boundary.
     s = np.linspace(0.0, 1.0, 200000, endpoint=False)
     dense = np.min(np.hypot(*(ellipse.point(s) - np.array([600.0, 350.0])).T))
-    d = distance_to_path(ellipse, (600.0, 350.0))
+    d = ellipse.distance((600.0, 350.0))
     assert d == pytest.approx(dense, rel=1e-9)
     assert d == pytest.approx(200.0, abs=1e-6)  # the semiminor axis q*R
-    assert distance_to_path(line_y0, (3.0, 5.0)) == pytest.approx(5.0, abs=1e-9)
+    assert line_y0.distance((3.0, 5.0)) == pytest.approx(5.0, abs=1e-9)
 
 
-def test_distance_many_matches_refined(ellipse, rng):
-    pts = PADDED_WORKSPACE.sample(rng, 50)
-    coarse = ellipse.distance_many(pts)
-    refined = np.array([distance_to_path(ellipse, p) for p in pts])
-    # Sampled distance can overestimate by at most about half a sample spacing.
-    spacing = 2000.0 / 4096
+PARAMETRIC_PATHS = pytest.mark.parametrize("path", [
+    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+    CirclePath(640.0, 360.0, 250.0),
+    LinePath(0.0, 1.0, -350.0),
+    LinePath(1.0, 2.0, -1300.0),
+], ids=["ellipse", "cassini", "circle", "line", "sloped_line"])
+
+
+@PARAMETRIC_PATHS
+def test_distance_many_matches_refined(path, rng):
+    pts = PADDED_WORKSPACE.sample(rng, 300)
+    coarse = path.distance_many(pts)
+    refined = np.array([path.distance(p) for p in pts])
+    # Sampled distance can overestimate by at most about half a sample
+    # spacing; the bound is the largest gap between consecutive samples.
+    samples = path._boundary_pts
+    if path.closed:
+        samples = np.vstack([samples, samples[:1]])
+    spacing = np.hypot(*np.diff(samples, axis=0).T).max()
     assert np.all(coarse >= refined - 1e-9)
     assert np.all(coarse - refined < spacing)
 
@@ -178,13 +209,7 @@ def _nearest_boundary_reference(path, pts):
     return dist, best
 
 
-@pytest.mark.parametrize("path", [
-    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
-    CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
-    CirclePath(640.0, 360.0, 250.0),
-    LinePath(0.0, 1.0, -350.0),
-    LinePath(1.0, 2.0, -1300.0),
-], ids=["ellipse", "cassini", "circle", "line", "sloped_line"])
+@PARAMETRIC_PATHS
 def test_nearest_boundary_matches_reference(path):
     rng = np.random.default_rng(4)
     box = Region(-200.0, 1480.0, -200.0, 920.0)
@@ -222,8 +247,8 @@ def test_contour_distance_many_matches_reference():
 def test_polynomial_path_contour_distance():
     circle = PolynomialPath(terms=((2, 0, 1.0), (0, 2, 1.0), (0, 0, -1.0)),
                             region=Region(-2.0, 2.0, -2.0, 2.0))
-    assert distance_to_path(circle, (2.0, 0.0)) == pytest.approx(1.0, abs=0.01)
-    assert distance_to_path(circle, (0.0, 0.0)) == pytest.approx(1.0, abs=0.01)
+    assert circle.distance((2.0, 0.0)) == pytest.approx(1.0, abs=0.01)
+    assert circle.distance((0.0, 0.0)) == pytest.approx(1.0, abs=0.01)
 
 
 def test_polynomial_matches_circle_derivatives(unit_circle):
@@ -238,14 +263,14 @@ def test_contour_not_found():
     nowhere = PolynomialPath(terms=((2, 0, 1.0), (0, 2, 1.0), (0, 0, 1.0)),
                              region=Region(-2.0, 2.0, -2.0, 2.0))
     with pytest.raises(ContourNotFoundError):
-        distance_to_path(nowhere, (0.0, 0.0))
+        nowhere.distance((0.0, 0.0))
 
 
 def test_contour_zero_on_grid_node():
     # The only zero sits exactly on a raster node; it still counts as contour.
     point_zero = PolynomialPath(terms=((2, 0, 1.0), (0, 2, 1.0)),
                                 region=Region(0.0, 1.0, 0.0, 1.0))
-    assert distance_to_path(point_zero, (0.5, 0.0)) == pytest.approx(0.5, abs=1e-9)
+    assert point_zero.distance((0.5, 0.0)) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_check_derivatives_examples(ellipse, cassini, line_y0):

@@ -128,6 +128,9 @@ INVALID = [
                  "simulate", "[controler.ngl]", id="controler.ngl"),
     pytest.param("headings = 4", "headings = 0", "basin", "[basin] headings",
                  id="headings-0"),
+    pytest.param("R = 400.0", "R = nan", "simulate", "[path]: ellipse: R", id="R-nan"),
+    pytest.param("x0 = 600.0", "x0 = inf", "simulate", "[path]: ellipse: x0",
+                 id="x0-inf"),
     pytest.param("[stop]", LOS + "direction = sideways\n\n[stop]", "simulate",
                  "[controller.los] direction must be forward or reverse",
                  id="direction-sideways"),

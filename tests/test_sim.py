@@ -13,18 +13,20 @@ from gvfpath import (
     TerminationKind,
     TraceLabel,
     TraceMode,
-    distance_to_path,
-    lyapunov_series,
     simulate,
     simulate_gvf_batch,
-    step_unicycle,
     trace_batch,
-    trace_integral_curve,
     wrap_angle,
 )
 from gvfpath.analysis import find_critical_points, sample_invariant_set
 from gvfpath.field import compose_heading, guiding_field
+from gvfpath.sim import _rk4_step
 from gvfpath.util import WORKSPACE
+
+
+def _step(pose, u_r, omega, dt):
+    """The simulator's RK4 step applied to one pose."""
+    return Pose(*map(float, _rk4_step(pose.x, pose.y, pose.alpha, u_r, omega, dt)))
 
 
 def test_pose_wraps_alpha():
@@ -51,12 +53,12 @@ def test_batches_reject_non_finite_starts(ellipse, identity, exp_params):
 
 
 def test_step_straight():
-    assert step_unicycle(Pose(0, 0, 0), u_r=1.0, omega=0.0, dt=1.0) == Pose(1.0, 0.0, 0.0)
+    assert _step(Pose(0, 0, 0), u_r=1.0, omega=0.0, dt=1.0) == Pose(1.0, 0.0, 0.0)
 
 
 def test_step_zero_dt_identity():
     p = Pose(3.0, -2.0, 0.7)
-    assert step_unicycle(p, u_r=5.0, omega=1.3, dt=0.0) == p
+    assert _step(p, u_r=5.0, omega=1.3, dt=0.0) == p
 
 
 def test_step_constant_turn_arc():
@@ -64,7 +66,7 @@ def test_step_constant_turn_arc():
     p = Pose(0.0, 0.0, 0.0)
     dt = math.pi / 100
     for _ in range(100):
-        p = step_unicycle(p, u_r=1.0, omega=1.0, dt=dt)
+        p = _step(p, u_r=1.0, omega=1.0, dt=dt)
     assert p.x == pytest.approx(0.0, abs=1e-6)
     assert p.y == pytest.approx(2.0, abs=1e-6)
     assert abs(wrap_angle(p.alpha - math.pi)) < 1e-9
@@ -74,7 +76,7 @@ def test_step_constant_turn_arc():
 @given(u=st.floats(0.1, 100), w=st.floats(-3, 3), t=st.floats(0.01, 2))
 def test_step_matches_closed_form_arc(u, w, t):
     # One coarse step against the closed-form constant-turn arc.
-    p = step_unicycle(Pose(0, 0, 0), u_r=u, omega=w, dt=t)
+    p = _step(Pose(0, 0, 0), u_r=u, omega=w, dt=t)
     if abs(w) < 1e-12:
         x_true, y_true = u * t, 0.0
     else:
@@ -93,7 +95,7 @@ def test_rk4_order_on_arc():
         p = Pose(0.0, 0.0, 0.0)
         n = int(round(math.pi / dt))
         for _ in range(n):
-            p = step_unicycle(p, u_r=1.0, omega=1.0, dt=dt)
+            p = _step(p, u_r=1.0, omega=1.0, dt=dt)
         return math.hypot(p.x - 0.0, p.y - 2.0)
 
     e1, e2 = run(math.pi / 25), run(math.pi / 50)
@@ -114,7 +116,7 @@ def test_simulate_experiment_ic_a_converges(ellipse, identity, exp_params):
     ev = traj.termination
     assert ev.kind is TerminationKind.CONVERGED
     assert abs(traj.e[-1]) < 1e-2
-    assert distance_to_path(ellipse, (traj.x[-1], traj.y[-1])) < 2.0
+    assert ellipse.distance((traj.x[-1], traj.y[-1])) < 2.0
     # |e| decays below tolerance and stays there for the dwell window.
     dwell = traj.t >= ev.t_final - 5.0
     assert np.all(np.abs(traj.e[dwell]) < 1e-2)
@@ -162,7 +164,7 @@ def test_simulate_baseline_runs(ellipse, identity):
         traj = simulate(ellipse, identity, controller, pose0, dt=0.005,
                         t_max=30.0, u_r=50.0)
         assert traj.termination.kind is TerminationKind.CONVERGED
-        assert distance_to_path(ellipse, (traj.x[-1], traj.y[-1])) < 2.0
+        assert ellipse.distance((traj.x[-1], traj.y[-1])) < 2.0
 
 
 def test_simulate_baseline_infeasible_event(ellipse, identity):
@@ -206,42 +208,49 @@ def test_simulate_left_domain_event(ellipse, identity, exp_params):
     assert traj.y[-1] > 720.0
 
 
+def test_batch_kinds_sort_by_value(ellipse, identity, exp_params):
+    # One run per event: a far start times out, the center is critical, a
+    # start aimed out of the unpadded region leaves it, and an aligned
+    # on-path start converges at once with a one-step dwell.
+    poses = np.array([[472.0, 311.0, 0.0768], [600.0, 350.0, 0.0],
+                      [640.0, 719.0, math.pi / 2], [1000.0, 350.0, -math.pi / 2]])
+    res = simulate_gvf_batch(ellipse, identity, exp_params, poses, dt=0.005,
+                             t_max=1.0, stop=StopPolicy(t_dwell=0.005),
+                             domain=WORKSPACE)
+    assert np.unique(res.kind).tolist() == [
+        TerminationKind.CONVERGED, TerminationKind.LEFT_DOMAIN,
+        TerminationKind.CRITICAL, TerminationKind.TIMEOUT]
+
+
 def test_simulate_converges_with_bounded_error_map(ellipse, exp_params):
     from gvfpath import ArctanPower
 
     traj = simulate(ellipse, ArctanPower(1.0), exp_params, Pose(472, 311, 0.0768),
                     dt=0.005, t_max=120.0)
     assert traj.termination.kind is TerminationKind.CONVERGED
-    assert distance_to_path(ellipse, (traj.x[-1], traj.y[-1])) < 2.0
-
-
-def test_lyapunov_series_rejects_other_types(ellipse, identity):
-    with pytest.raises(TypeError):
-        lyapunov_series(ellipse, identity, np.zeros((4, 2)))
+    assert ellipse.distance((traj.x[-1], traj.y[-1])) < 2.0
 
 
 def test_trace_normalized_reaches_path(ellipse, identity):
-    tr = trace_integral_curve(ellipse, identity, 3.0, (650.0, 350.0),
-                              TraceMode.NORMALIZED, dt=0.005, t_max=600.0,
-                              u_r=50.0)
-    assert tr.label is TraceLabel.PATH
+    labels, _ = trace_batch(ellipse, identity, 3.0, [(650.0, 350.0)],
+                            TraceMode.NORMALIZED, dt=0.005, t_max=600.0, u_r=50.0)
+    assert labels[0] is TraceLabel.PATH
 
 
 def test_trace_from_critical_point(ellipse, identity):
-    tr = trace_integral_curve(ellipse, identity, 3.0, (600.2, 350.0),
-                              TraceMode.NORMALIZED, dt=0.005, t_max=10.0,
-                              u_r=50.0)
-    assert tr.label is TraceLabel.CRITICAL
-    assert tr.t_final == 0.0
+    labels, t_final = trace_batch(ellipse, identity, 3.0, [(600.2, 350.0)],
+                                  TraceMode.NORMALIZED, dt=0.005, t_max=10.0,
+                                  u_r=50.0)
+    assert labels[0] is TraceLabel.CRITICAL
+    assert t_final[0] == 0.0
 
 
 def test_trace_cassini_saddle_neighbor_escapes(cassini, identity):
     # (600, 351) sits next to the saddle; its stable manifold has measure
     # zero, so the normalized flow carries the point to the path.
-    tr = trace_integral_curve(cassini, identity, 3.0, (600.0, 351.0),
-                              TraceMode.NORMALIZED, dt=0.005, t_max=600.0,
-                              u_r=50.0)
-    assert tr.label is TraceLabel.PATH
+    labels, _ = trace_batch(cassini, identity, 3.0, [(600.0, 351.0)],
+                            TraceMode.NORMALIZED, dt=0.005, t_max=600.0, u_r=50.0)
+    assert labels[0] is TraceLabel.PATH
 
 
 def test_lyapunov_on_path_trajectory_is_zero(ellipse, identity, exp_params):
@@ -249,9 +258,7 @@ def test_lyapunov_on_path_trajectory_is_zero(ellipse, identity, exp_params):
     g = guiding_field(ellipse, identity, exp_params, start)
     pose0 = Pose(start[0], start[1], compose_heading(g.m_d, 0.0))
     traj = simulate(ellipse, identity, exp_params, pose0, dt=0.005, t_max=30.0)
-    tv = lyapunov_series(ellipse, identity, traj)
-    assert tv.shape[1] == 2
-    assert np.max(tv[:, 1]) < 1e-8
+    assert np.max(0.5 * traj.e**2) < 1e-8
 
 
 @pytest.mark.parametrize("mode", [TraceMode.RAW, TraceMode.NORMALIZED])
@@ -282,9 +289,9 @@ def test_closed_loop_lyapunov_net_decrease_ic_d(ellipse, identity, exp_params):
     # its initial value.
     traj = simulate(ellipse, identity, exp_params, Pose(78, 133, 4.0419),
                     dt=0.005, t_max=120.0)
-    tv = lyapunov_series(ellipse, identity, traj)
+    v = 0.5 * traj.e**2
     assert traj.termination.kind is TerminationKind.CONVERGED
-    assert tv[-1, 1] < tv[0, 1] * 1e-6
+    assert v[-1] < v[0] * 1e-6
 
 
 def test_delta_decay_sample_runs(ellipse, identity, exp_params, rng):

@@ -97,18 +97,22 @@ def summarize_run(label, traj, touch_eps=0.5):
 
 
 def run_scenario(scn, out_dir):
-    """One trajectory CSV per initial pose plus summary.csv; returns summaries."""
+    """One trajectory CSV per initial pose plus summary.csv; returns summaries.
+
+    All poses run as one batch; each trajectory equals its single run.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     controller = scn.controller_params()
     u_r = None if scn.controller == "gvf" else scn.u_r
     crit = sim._critical_locations(scn.path, PADDED_WORKSPACE)
 
+    trajs = sim._simulate_runs(scn.path, scn.errmap, controller,
+                               [pose for _, pose in scn.poses], dt=scn.dt,
+                               t_max=scn.t_max, stop=scn.stop, u_r=u_r,
+                               critical_points=crit)
     summaries = []
-    for label, pose in scn.poses:
-        traj = sim.simulate(scn.path, scn.errmap, controller, pose,
-                            dt=scn.dt, t_max=scn.t_max, stop=scn.stop,
-                            u_r=u_r, critical_points=crit)
+    for (label, _), traj in zip(scn.poses, trajs):
         write_trajectory_csv(out / f"{scn.name}_{label}.csv", traj)
         summaries.append(summarize_run(label, traj))
 

@@ -21,15 +21,19 @@ records the rows, then ends every row whose event fires, with the precedence
 
 where the critical event also covers the command's singular rows (a
 vanishing gradient).  Ended rows are dropped before the advance, so a
-non-regular row is never stepped.  A single run is a batch of one.
+non-regular row is never stepped.  All of a scenario's initial poses run as
+one batch, each run's rows recorded into one shared buffer; `simulate` is
+that batch with one pose, and its Trajectory is bit-identical to the same
+pose's in any batch, since every step is elementwise per row.
 
 Every dynamical outcome is an event, not an exception: runs end with
 GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or
 Timeout.  Convergence requires |e| < tol_e and the distance to the path
-below tol_d sustained for a dwell window.  Distances used inside the loop
-come from the 4096-sample boundary cache (resolution about half a sample
-spacing); use `path.distance` for refined point queries.  Non-finite
-starts are invalid input and raise ValueError.
+below tol_d sustained for a dwell window (with t_dwell = 0, the first step
+inside both tolerances).  Distances used inside the loop come from the
+4096-sample boundary cache (resolution about half a sample spacing); use
+`path.distance` for refined point queries.  Non-finite starts are invalid
+input and raise ValueError.
 """
 
 from __future__ import annotations
@@ -195,6 +199,9 @@ def _run(command, path, state, dt, t_max, stop, domain, critical_points,
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
+    # dwell is 0 or a sum of dt: at least one step inside both tolerances is
+    # needed to converge, also with t_dwell = 0.
+    t_conv = max(stop.t_dwell, dt)
     n_steps = int(math.ceil(t_max / dt - 1e-9))
     for step in range(n_steps + 1):
         t = step * dt
@@ -215,7 +222,7 @@ def _run(command, path, state, dt, t_max, stop, domain, critical_points,
             critical = critical | (d2c < stop.tol_c**2)
         left = ~domain.contains(state)
         dwell = np.where(near & (dist < stop.tol_d), dwell + dt, 0.0)
-        converged = dwell >= stop.t_dwell
+        converged = dwell >= t_conv
         last = step == n_steps
         done = infeasible | critical | left | converged | last
         keep = slice(None)
@@ -268,16 +275,17 @@ def _gvf_steer(path, errmap, params):
     return steer
 
 
-def _baseline_steer(path, errmap, controller, u_r, reasons):
+def _baseline_steer(path, errmap, controller, u_r):
     """LOS or NGL steering, one guidance query per row.
 
     Rows without guidance are infeasible and carry NaN delta/omega_d/omega;
-    the error messages are appended to `reasons`.
+    diag["detail"] maps each such row's index to its error message.
     """
 
     def steer(x, y, alpha):
         terms = np.full((len(x), 3), np.nan)
         infeasible = np.zeros(len(x), dtype=bool)
+        detail = {}
         for i in range(len(x)):
             pose = Pose(x[i], y[i], alpha[i])
             try:
@@ -287,11 +295,11 @@ def _baseline_steer(path, errmap, controller, u_r, reasons):
                     s = ctl.ngl_sample(path, controller, pose)
             except (ctl.GuidanceInfeasibleError, ctl.AmbiguousProjectionError) as exc:
                 infeasible[i] = True
-                reasons.append(str(exc))
+                detail[i] = str(exc)
                 continue
             terms[i] = s.heading_error, s.feedforward, s.omega
         e = errmap.psi(path.phi(np.column_stack([x, y])))
-        diag = dict(zip(("delta", "omega_d", "omega"), terms.T))
+        diag = dict(zip(("delta", "omega_d", "omega"), terms.T), detail=detail)
         return e, np.zeros_like(infeasible), infeasible, diag
 
     return steer
@@ -331,6 +339,84 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
 
 
 _ROW_KEYS = ("x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist")
+# Steps the row recorder holds before its buffer first doubles.
+_ROWS_INITIAL = 1024
+
+
+class _RowRecorder:
+    """Every run's rows in one (steps, columns, runs) buffer.
+
+    Runs only ever drop out of a batch, so each run's rows are its first
+    n[i] steps: step k of every active run goes to buf[k].  The buffer
+    doubles when full.  A row's "detail" message, if any, is kept against
+    its run id.
+    """
+
+    def __init__(self, n_runs):
+        self.t = np.empty(_ROWS_INITIAL)
+        self.buf = np.empty((_ROWS_INITIAL, len(_ROW_KEYS), n_runs))
+        self.n = np.zeros(n_runs, dtype=int)
+        self.steps = 0
+        self.detail = {}
+
+    def __call__(self, t, ids, data):
+        k = self.steps
+        if k == len(self.t):
+            self.t = np.concatenate([self.t, np.empty_like(self.t)])
+            self.buf = np.concatenate([self.buf, np.empty_like(self.buf)])
+        self.t[k] = t
+        self.buf[k][:, ids] = [data[c] for c in _ROW_KEYS]
+        self.n[ids] = k + 1
+        self.steps = k + 1
+        for j, msg in data.get("detail", {}).items():
+            self.detail[int(ids[j])] = msg
+
+    def columns(self, i):
+        n = self.n[i]
+        return {"t": self.t[:n].copy(),
+                **{c: self.buf[:n, j, i].copy() for j, c in enumerate(_ROW_KEYS)}}
+
+
+def _simulate_runs(path, errmap, controller, poses, dt, t_max, stop=StopPolicy(),
+                   u_r=None, domain=PADDED_WORKSPACE, critical_points=None):
+    """Integrate the closed loop from each Pose in one batch; one Trajectory
+    per pose, each equal to that pose's run on its own.
+
+    controller is GvfParams (u_r taken from it) or LosParams / NglParams
+    (pass the forward speed via u_r).
+    """
+    if isinstance(controller, gvf.GvfParams):
+        if u_r is not None and u_r != controller.u_r:
+            raise ValueError("u_r is carried by GvfParams; do not pass both")
+        steer, u_r = _gvf_steer(path, errmap, controller), controller.u_r
+    elif isinstance(controller, (ctl.LosParams, ctl.NglParams)):
+        if u_r is None or u_r <= 0.0:
+            raise ValueError("baseline controllers need a positive u_r")
+        if not path.has_parametric:
+            raise PathError("baseline controllers require a parametric path")
+        steer = _baseline_steer(path, errmap, controller, u_r)
+    else:
+        raise TypeError(f"unsupported controller {controller!r}")
+
+    state = np.array([[p.x, p.y, p.alpha] for p in poses]).reshape(-1, 3)
+    rec = _RowRecorder(len(state))
+    code, t_final, *_ = _run(_unicycle_command(steer, u_r, dt), path, state, dt,
+                             t_max, stop, domain, critical_points, rec,
+                             record_dist=True)
+    details = {
+        TerminationKind.CONVERGED: "|e| and path distance within tolerance "
+                                   f"for {stop.t_dwell} s",
+        TerminationKind.CRITICAL: "entered the critical-set neighborhood",
+        TerminationKind.TIMEOUT: "t_max reached",
+        TerminationKind.LEFT_DOMAIN: "left the working region",
+    }
+    trajs = []
+    for i, kind in enumerate(_KINDS[code]):
+        # Infeasible runs carry their own guidance error message.
+        event = TerminationEvent(kind, float(t_final[i]),
+                                 rec.detail.get(i) or details[kind])
+        trajs.append(Trajectory(dt=dt, termination=event, **rec.columns(i)))
+    return trajs
 
 
 def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
@@ -342,44 +428,8 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
     with an event; only invalid configuration raises.  The recorded alpha is
     the integrated heading, not wrapped.
     """
-    reasons = []
-    if isinstance(controller, gvf.GvfParams):
-        if u_r is not None and u_r != controller.u_r:
-            raise ValueError("u_r is carried by GvfParams; do not pass both")
-        steer, u_r = _gvf_steer(path, errmap, controller), controller.u_r
-    elif isinstance(controller, (ctl.LosParams, ctl.NglParams)):
-        if u_r is None or u_r <= 0.0:
-            raise ValueError("baseline controllers need a positive u_r")
-        if not path.has_parametric:
-            raise PathError("baseline controllers require a parametric path")
-        steer = _baseline_steer(path, errmap, controller, u_r, reasons)
-    else:
-        raise TypeError(f"unsupported controller {controller!r}")
-
-    rows = {k: [] for k in ("t",) + _ROW_KEYS}
-
-    def record(t, ids, data):
-        rows["t"].append(t)
-        for k in _ROW_KEYS:
-            rows[k].append(float(data[k][0]))
-
-    code, t_final, *_ = _run(_unicycle_command(steer, u_r, dt), path,
-                             np.array([[pose0.x, pose0.y, pose0.alpha]]), dt,
-                             t_max, stop, domain, critical_points, record,
-                             record_dist=True)
-    kind = _KINDS[code[0]]
-    detail = reasons[-1] if reasons else {
-        TerminationKind.CONVERGED: "|e| and path distance within tolerance "
-                                   f"for {stop.t_dwell} s",
-        TerminationKind.CRITICAL: "entered the critical-set neighborhood",
-        TerminationKind.TIMEOUT: "t_max reached",
-        TerminationKind.LEFT_DOMAIN: "left the working region",
-    }[kind]
-    return Trajectory(
-        dt=dt,
-        termination=TerminationEvent(kind, float(t_final[0]), detail),
-        **{k: np.asarray(v, dtype=float) for k, v in rows.items()},
-    )
+    return _simulate_runs(path, errmap, controller, [pose0], dt, t_max, stop,
+                          u_r, domain, critical_points)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -185,11 +186,17 @@ def test_run_scenario_with_los_controller(tmp_path):
     text = (SMALL_SCENARIO
             .replace("controller = gvf", "controller = los")
             .replace("t_max = 4.0", "t_max = 2.0")
+            + "b = 200.0 450.0 0.0278\n"
             + "\n[controller.los]\nlookahead = 70.0\nk_los = 2.0\n")
     scn = parse_scenario(text)
-    summaries = run_scenario(scn, tmp_path)
-    assert len(summaries) == 1
-    assert (tmp_path / "smoke_a.csv").exists()
+    summaries = run_scenario(scn, tmp_path / "both")
+    assert [s.label for s in summaries] == ["a", "b"]
+    # Each run of the batch writes what it writes when run alone.
+    for label, pose in scn.poses:
+        alone = tmp_path / label
+        run_scenario(dataclasses.replace(scn, poses=((label, pose),)), alone)
+        name = f"smoke_{label}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_error_map_with_power_round_trips():

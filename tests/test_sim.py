@@ -20,7 +20,8 @@ from gvfpath import (
 )
 from gvfpath.analysis import find_critical_points, sample_invariant_set
 from gvfpath.field import compose_heading, guiding_field
-from gvfpath.sim import _rk4_step
+from gvfpath.scenario import bundled_scenario
+from gvfpath.sim import _rk4_step, _simulate_runs
 from gvfpath.util import WORKSPACE
 
 
@@ -220,6 +221,63 @@ def test_batch_kinds_sort_by_value(ellipse, identity, exp_params):
     assert np.unique(res.kind).tolist() == [
         TerminationKind.CONVERGED, TerminationKind.LEFT_DOMAIN,
         TerminationKind.CRITICAL, TerminationKind.TIMEOUT]
+
+
+def test_zero_dwell_stops_at_first_step_inside_tolerances(ellipse, identity,
+                                                         exp_params):
+    # t_dwell = 0 still needs one step with |e| < tol_e and the distance below
+    # tol_d; the start is 148 Px off the path.
+    stop = StopPolicy(t_dwell=0.0)
+    res = simulate_gvf_batch(ellipse, identity, exp_params, [[472.0, 311.0, 0.0768]],
+                             dt=0.005, t_max=20.0, stop=stop, critical_points=[])
+    assert res.kind[0] is TerminationKind.CONVERGED
+    assert res.t_final[0] > 0.0
+    assert abs(res.e[0]) < stop.tol_e and res.dist[0] < stop.tol_d
+    traj = simulate(ellipse, identity, exp_params, Pose(472.0, 311.0, 0.0768),
+                    dt=0.005, t_max=20.0, stop=stop, critical_points=[])
+    assert traj.termination.t_final == res.t_final[0]
+    outside = (np.abs(traj.e[:-1]) >= stop.tol_e) | ~(traj.dist[:-1] < stop.tol_d)
+    assert outside.all()
+
+
+def _assert_same_runs(batch, singles):
+    assert len(batch) == len(singles)
+    for b, s in zip(batch, singles):
+        assert len(b) == len(s)
+        assert b.termination == s.termination
+        for col in ("t", "x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist"):
+            assert np.array_equal(getattr(b, col), getattr(s, col), equal_nan=True), col
+
+
+@pytest.mark.parametrize("name", ["ellipse_experiment", "cassini_experiment"])
+def test_batch_equals_single_runs(name):
+    scn = bundled_scenario(f"{name}.cfg")
+    poses = [pose for _, pose in scn.poses]
+    kw = dict(dt=scn.dt, t_max=scn.t_max, stop=scn.stop)
+    batch = _simulate_runs(scn.path, scn.errmap, scn.gvf, poses, **kw)
+    assert len(poses) == 4
+    _assert_same_runs(batch, [simulate(scn.path, scn.errmap, scn.gvf, p, **kw)
+                              for p in poses])
+
+
+@pytest.mark.parametrize("controller", [LosParams(lookahead=70.0, k_los=2.0),
+                                        NglParams(radius=40.0, k_r=2.0)])
+def test_baseline_batch_keeps_each_runs_detail(ellipse, identity, controller):
+    # The center is an ambiguous projection for LOS and too far from the
+    # path for the NGL circle; (600, 250) is infeasible for NGL only.
+    poses = [Pose(200.0, 450.0, 0.0278), Pose(600.0, 350.0, 0.0),
+             Pose(600.0, 250.0, 0.0)]
+    kw = dict(dt=0.005, t_max=2.0, u_r=50.0)
+    batch = _simulate_runs(ellipse, identity, controller, poses, **kw)
+    _assert_same_runs(batch, [simulate(ellipse, identity, controller, p, **kw)
+                              for p in poses])
+    details = [traj.termination.detail for traj in batch]
+    assert details[0] == "t_max reached"
+    assert "(600.0, 350.0)" in details[1]
+    if isinstance(controller, NglParams):
+        assert "(600.0, 250.0) does not intersect" in details[2]
+    else:
+        assert details[2] == "t_max reached"
 
 
 def test_simulate_converges_with_bounded_error_map(ellipse, exp_params):

@@ -163,9 +163,9 @@ def critical_error_threshold(path, errmap, critical_points):
                      for p in locs))
 
 
-def in_invariant_set(path, errmap, k_n, e_c, pose, degeneracy_eps=1e-9):
+def in_invariant_set(path, errmap, k_n, e_c, pose):
     """Strict membership test for M (regular, |delta| and |e| inside bounds)."""
-    fs = gvf.field_arrays(path, errmap, k_n, pose.xy, eps=degeneracy_eps)
+    fs = gvf.field_arrays(path, errmap, k_n, pose.xy)
     if not (fs["regular"] and abs(fs["e"]) < e_c):
         return False
     delta = gvf.heading_error(fs["m_d"], pose.alpha)
@@ -251,8 +251,7 @@ def _raster_viability_distance(path, errmap, p0, e_c, region):
     return float(t_star * np.hypot(*(target - p0)))
 
 
-def sample_invariant_set(path, errmap, k_n, e_c, n, rng, region=None,
-                         degeneracy_eps=1e-9):
+def sample_invariant_set(path, errmap, k_n, e_c, n, rng, region=None):
     """n poses sampled strictly inside M, as an (n, 3) array.
 
     Positions are drawn uniformly over the region subject to
@@ -265,7 +264,7 @@ def sample_invariant_set(path, errmap, k_n, e_c, n, rng, region=None,
     out = np.empty((0, 3))
     while len(out) < n:
         pts = region.sample(rng, 4 * n)
-        fs = gvf.field_arrays(path, errmap, k_n, pts, eps=degeneracy_eps)
+        fs = gvf.field_arrays(path, errmap, k_n, pts)
         keep = fs["regular"] & (np.abs(fs["e"]) < SAMPLE_MARGIN * e_c)
         pts, m_d = pts[keep], fs["m_d"][keep]
         delta = rng.uniform(-SAMPLE_MARGIN * band, SAMPLE_MARGIN * band,

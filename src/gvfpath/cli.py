@@ -46,10 +46,10 @@ CSV_COLUMNS = ("t", "x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist_p
 def write_trajectory_csv(out_file, traj):
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(traj)):
-            row = (traj.t[i], traj.x[i], traj.y[i], traj.alpha[i], traj.e[i],
-                   traj.delta[i], traj.omega_d[i], traj.omega[i], traj.dist[i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        cols = (traj.t, traj.x, traj.y, traj.alpha, traj.e, traj.delta,
+                traj.omega_d, traj.omega, traj.dist)
+        for row in zip(*(c.tolist() for c in cols)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def first_touch_index(e, dist, touch_eps=0.5):
@@ -127,7 +127,7 @@ def run_scenario(scn, out_dir):
 
 
 def export_field_grid(path, errmap, k_n, region, nx, ny, out_file,
-                      degeneracy_eps=1e-9):
+                      degeneracy_eps=gvf.DEGENERACY_EPS):
     """Write rows (x, y, m_d_x, m_d_y, e, regular) on an nx*ny grid.
 
     A node is flagged degenerate (regular = 0, NaN direction) when the
@@ -370,7 +370,7 @@ def main(argv=None):
             if scn.field_grid is None:
                 raise ConfigError("scenario has no [field_grid] section")
             k_n, eps = ((scn.gvf.k_n, scn.gvf.degeneracy_eps) if scn.gvf is not None
-                        else (1.0, gvf.GvfParams.degeneracy_eps))
+                        else (1.0, gvf.DEGENERACY_EPS))
             n_flagged = export_field_grid(
                 scn.path, scn.errmap, k_n, scn.field_grid.region,
                 scn.field_grid.nx, scn.field_grid.ny, out / "field_grid.csv",

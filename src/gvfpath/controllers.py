@@ -25,7 +25,7 @@ import numpy as np
 
 from . import field as gvf
 from .paths import BOUNDARY_SAMPLES
-from .util import bisect_root, golden_min, require_positive, wrap_angle
+from .util import require_positive, wrap_angle
 
 
 class Direction(enum.Enum):
@@ -124,9 +124,9 @@ def project_to_path(path, point, direction=Direction.FORWARD):
     """Global projection of a point onto a parametric path.
 
     Seeds a global search with 1024 boundary samples, refines every local
-    minimum by golden section to ~1e-9 in s, and raises
-    AmbiguousProjectionError when the two best distinct minima tie within
-    1e-6 in distance.
+    minimum of the seed distances to its foot point by Newton on the implicit
+    curve, and raises AmbiguousProjectionError when the two best distinct
+    minima tie within 1e-6 in distance.
     """
     if not path.has_parametric:
         raise ValueError("projection requires a path with a parametric form")
@@ -141,30 +141,21 @@ def project_to_path(path, point, direction=Direction.FORWARD):
         left, right = np.r_[np.inf, d_seed[:-1]], np.r_[d_seed[1:], np.inf]
     is_min = (d_seed <= left) & (d_seed <= right)
 
-    dist_at = path._param_dist(p)
-    minima = []
-    for k in np.flatnonzero(is_min):
-        s_star, d_star = golden_min(dist_at, *path._bracket(k, 1.0 / PROJECTION_SEEDS))
-        if path.closed:
-            s_star = s_star % 1.0
-        minima.append((d_star, s_star))
-
-    minima.sort()
-    d_best, s_best = minima[0]
-
-    def distinct(s):
-        ds = abs(s - s_best)
-        return (min(ds, 1.0 - ds) if path.closed else ds) >= 1e-6
-
+    q, s, d = path._foot_points(p, seed_pts[is_min])
+    best = np.argmin(d)
+    d_best, s_best = d[best], s[best]
     # The runner-up is the best minimum at a different parameter value.
-    d_next = next((d for d, s in minima[1:] if distinct(s)), math.inf)
+    ds = np.abs(s - s_best)
+    if path.closed:
+        ds = np.minimum(ds, 1.0 - ds)
+    d_next = np.min(d[ds >= 1e-6], initial=math.inf)
     if d_next - d_best < PROJECTION_TIE_TOL:
         raise AmbiguousProjectionError(
             f"projection of ({p[0]}, {p[1]}) is ambiguous: distances "
             f"{d_best:.9g} and {d_next:.9g}"
         )
 
-    proj = path.point(s_best)
+    proj = q[best]
     g = path.grad(proj)
     nn = math.hypot(g[0], g[1])
     tangent = np.array([g[1], -g[0]]) / nn
@@ -199,65 +190,50 @@ def los_sample(path, params, pose, u_r):
                           target=target, target_s=proj.s)
 
 
-NGL_SCAN_SAMPLES = BOUNDARY_SAMPLES  # the scan reuses the cached boundary samples
-NGL_REFINE_TOL = 1e-8
-
-
 def _circle_intersections(path, center, radius):
-    """Parameters s where |path.point(s) - center| = radius.
+    """Points q where |q - center| = radius on the path, and their s.
 
-    Sign-change scan over 4096 samples followed by bisection to 1e-8 in s.
+    A sign-change scan of |sample - center| - radius over the 4096 cached
+    boundary samples brackets each crossing; Newton on phi(q) = 0 with the
+    circle condition |q - center|^2 = radius^2 then refines all of them at
+    once, started at the chord crossing of each bracket.
     """
-    n = NGL_SCAN_SAMPLES
-    h = 1.0 / n
-    f_grid = np.hypot(*(path._boundary_pts - center).T) - radius
+    pts = path._boundary_pts
+    f = np.hypot(*(pts - center).T) - radius
+    fa, fb = (f, np.roll(f, -1)) if path.closed else (f[:-1], f[1:])
+    k = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+    a, b = pts[k], pts[(k + 1) % len(pts)]
+    t = fa[k] / (fa[k] - fb[k])
+    cx, cy = center
 
-    fa = f_grid if path.closed else f_grid[:-1]
-    fb = np.roll(f_grid, -1) if path.closed else f_grid[1:]
-    crossing = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+    def side(q, g):
+        dx, dy = q[:, 0] - cx, q[:, 1] - cy
+        return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
 
-    dist = path._param_dist(center)
-
-    def f(s):
-        return dist(s) - radius
-
-    iters = max(1, math.ceil(math.log2(h / NGL_REFINE_TOL)))
-    hits = []
-    for k in crossing:
-        if f_grid[k] == 0.0:
-            hits.append(k * h)
-            continue
-        s = bisect_root(f, k * h, (k + 1) * h, fa=f_grid[k], fb=f_grid[(k + 1) % n],
-                        iters=iters)
-        hits.append(s % 1.0 if path.closed else s)
-    return hits
+    q = path._newton_on_curve(a + t[:, None] * (b - a), side)
+    return q, path._curve_s(q)
 
 
 def ngl_sample(path, params, pose):
     if not path.has_parametric:
         raise ValueError("the NGL baseline requires a path with a parametric form")
     center = np.array([pose.x, pose.y])
-    hits = _circle_intersections(path, center, params.radius)
-    if not hits:
+    hits, hit_s = _circle_intersections(path, center, params.radius)
+    if not len(hits):
         raise GuidanceInfeasibleError(
             f"circle of radius {params.radius} around ({pose.x}, {pose.y}) "
             "does not intersect the path"
         )
     proj = project_to_path(path, center, params.direction)
-
-    def ahead_offset(s):
-        d = s - proj.s if params.direction is Direction.FORWARD else proj.s - s
-        if path.closed:
-            d = d % 1.0
-        return d
-
-    ahead = [(ahead_offset(s), s) for s in hits if ahead_offset(s) > 0.0]
-    if not ahead:
+    ahead = hit_s - proj.s if params.direction is Direction.FORWARD else proj.s - hit_s
+    if path.closed:
+        ahead %= 1.0
+    if not np.any(ahead > 0.0):
         raise GuidanceInfeasibleError(
             "no circle-path intersection lies ahead in the traversal direction"
         )
-    _, s_target = min(ahead)
-    target = path.point(s_target)
+    i = np.argmin(np.where(ahead > 0.0, ahead, math.inf))
+    target, s_target = hits[i], hit_s[i]
     alpha_r = math.atan2(target[1] - pose.y, target[0] - pose.x)
     herr = wrap_angle(pose.alpha - alpha_r)
     return BaselineSample(omega=-params.k_r * herr, bearing=alpha_r,

@@ -29,6 +29,10 @@ import numpy as np
 from .util import require_positive, wrap_angle
 
 
+# The field is degenerate where |grad phi| is at or below this.
+DEGENERACY_EPS = 1e-9
+
+
 class DegeneracyError(RuntimeError):
     """The gradient vanishes at the queried point; the field is undefined."""
 
@@ -40,7 +44,7 @@ class GvfParams:
     k_n: float
     k_delta: float
     u_r: float
-    degeneracy_eps: float = 1e-9
+    degeneracy_eps: float = DEGENERACY_EPS
 
     def __post_init__(self):
         require_positive(k_n=self.k_n, k_delta=self.k_delta, u_r=self.u_r,
@@ -70,7 +74,7 @@ def _field_v(path, errmap, k_n, pts):
     return ph, e, n, tau, tau - (k_n * e)[..., None] * n
 
 
-def field_arrays(path, errmap, k_n, pts, eps=1e-9):
+def field_arrays(path, errmap, k_n, pts, eps=DEGENERACY_EPS):
     """Vectorized field quantities at pts (..., 2).
 
     Returns dict with e, psi_prime, n, n_norm, tau, v, v_norm, m_d, regular;

@@ -22,12 +22,13 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .util import PADDED_WORKSPACE, TWO_PI, Region, golden_min, require_positive
+from .util import PADDED_WORKSPACE, TWO_PI, Region, require_positive
 
-# Distance queries sample the parametric form this densely, then refine the
-# best bracket by golden section down to ~1e-9 relative in s.
+# Distance queries sample the parametric form this densely; point queries
+# then take NEWTON_ITERS Newton steps on the implicit curve from a sample.
 BOUNDARY_SAMPLES = 4096
 COARSE_STRIDE = 32
+NEWTON_ITERS = 4
 # Raster resolution used to locate the zero contour of paths that have no
 # parametric form; the resulting distances are accurate to about one cell.
 CONTOUR_GRID = 512
@@ -87,24 +88,6 @@ class ImplicitPath:
 
     # -- distance to the zero set ------------------------------------------
 
-    def _param_dist(self, p):
-        """Scalar s -> |point(s) - p|, with s wrapped mod 1 on closed paths."""
-
-        def dist(s):
-            if self.closed:
-                s = s % 1.0
-            return float(np.hypot(*(self.point(s) - p)))
-
-        return dist
-
-    def _bracket(self, k, h):
-        """The bracket [(k-1) h, (k+1) h] around sample k, clipped to [0, 1)
-        on open paths."""
-        lo, hi = k * h - h, k * h + h
-        if not self.closed:
-            lo, hi = max(lo, 0.0), min(hi, 1.0 - 1e-12)
-        return lo, hi
-
     @cached_property
     def _boundary_pts(self):
         s = np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
@@ -149,6 +132,67 @@ class ImplicitPath:
         j = d2.argmin(axis=-1)
         return np.sqrt(d2.min(axis=-1)), pad[kc * COARSE_STRIDE + j]
 
+    def _newton_on_curve(self, q, side):
+        """NEWTON_ITERS 2x2 Newton steps on phi(q) = 0 and side(q, grad phi) = 0.
+
+        side returns the residual r and its gradient row (r_x, r_y) for the
+        (m, 2) points q; a row with a singular Jacobian stays put.
+        """
+        q = np.array(q, dtype=float)
+        for _ in range(NEWTON_ITERS):
+            f = self.phi(q)
+            g = self.grad(q)
+            r, rx, ry = side(q, g)
+            gx, gy = g[:, 0], g[:, 1]
+            det = gx * ry - gy * rx
+            inv = np.divide(1.0, det, out=np.zeros_like(det), where=det != 0.0)
+            q[:, 0] -= (ry * f - gy * r) * inv
+            q[:, 1] -= (gx * r - rx * f) * inv
+        return q
+
+    def _curve_s(self, q):
+        """Parameter s of points q (m, 2) on the curve: the nearest boundary
+        sample k plus q's offset along the chord from sample k-1 to k+1,
+        wrapped into [0, 1) on closed paths, clamped to [0, 1] on open ones.
+        """
+        n = BOUNDARY_SAMPLES
+        _, k = self.nearest_boundary(q)
+        lo, hi = k - 1, k + 1
+        if self.closed:
+            lo, hi = lo % n, hi % n
+            span = 2.0
+        else:
+            lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
+            span = hi - lo
+        pts = self._boundary_pts
+        chord = pts[hi] - pts[lo]
+        t = np.sum((q - pts[k]) * chord, axis=-1) / np.sum(chord * chord, axis=-1)
+        s = (k + span * t) / n
+        return s % 1.0 if self.closed else np.clip(s, 0.0, 1.0)
+
+    def _foot_points(self, p, q0):
+        """(q, s, |p - q|) for the foot points q of p that Newton reaches from
+        q0 (m, 2) under (q - p) x grad phi(q) = 0; on open paths a foot point
+        past the chord's end becomes that end.
+        """
+        px, py = p
+
+        def side(q, g):
+            h = self.hess(q)
+            dx, dy = q[:, 0] - px, q[:, 1] - py
+            gx, gy = g[:, 0], g[:, 1]
+            return (dx * gy - dy * gx,
+                    gy + dx * h[:, 1, 0] - dy * h[:, 0, 0],
+                    dx * h[:, 1, 1] - gx - dy * h[:, 0, 1])
+
+        q = self._newton_on_curve(q0, side)
+        s = self._curve_s(q)
+        if not self.closed:
+            end = (s == 0.0) | (s == 1.0)
+            if end.any():
+                q[end] = self.point(s[end])
+        return q, s, np.hypot(q[:, 0] - px, q[:, 1] - py)
+
     def distance_many(self, pts):
         """Distances from many points, at boundary-sampling resolution.
 
@@ -174,18 +218,15 @@ class ImplicitPath:
     def distance(self, point):
         """Euclidean distance from one point to the path.
 
-        Parametric paths: boundary sampling plus golden-section refinement of
-        the best bracket (well below 1e-6 relative).  Otherwise the rasterized
-        zero contour is used, accurate to roughly one raster cell.
+        Parametric paths: the distance to the foot point found by Newton
+        from the nearest boundary sample.  Otherwise the rasterized zero
+        contour is used, accurate to roughly one raster cell.
         """
         p = _pts(point)
         if self.has_parametric:
             _, k = self.nearest_boundary(p)
-            _, d = golden_min(self._param_dist(p),
-                              *self._bracket(int(k), 1.0 / BOUNDARY_SAMPLES))
-            return d
-        contour = self._contour_pts
-        return float(np.min(np.hypot(*(contour - p).T)))
+            return float(self._foot_points(p, self._boundary_pts[k][None])[2][0])
+        return float(self.distance_many(p))
 
     @cached_property
     def _contour_pts(self):

@@ -1,5 +1,5 @@
-"""Shared numeric helpers: angle wrapping, working regions, scalar minimization,
-parameter checks."""
+"""Shared numeric helpers: angle wrapping, working regions, scalar
+bisection, parameter checks."""
 
 from __future__ import annotations
 
@@ -93,48 +93,25 @@ class Region:
 WORKSPACE = Region(0.0, 1280.0, 0.0, 720.0)
 PADDED_WORKSPACE = WORKSPACE.padded(2.0)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_ITERS = 45
+BISECT_ITERS = 60
 
 
-def golden_min(f, a, b):
-    """Golden-section minimum of a unimodal scalar f on [a, b].
-
-    Returns (argmin, min). The 45 iterations shrink the bracket by a factor
-    of about 4e-10.
-    """
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_ITERS):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def bisect_root(f, a, b, fa=None, fb=None, iters=60):
+def bisect_root(f, a, b):
     """Bisection root of f on [a, b] assuming a sign change; returns midpoint."""
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
+    fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
         raise ValueError("no sign change on bracket")
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
             return m
         if fa * fm < 0.0:
-            b, fb = m, fm
+            b = m
         else:
             a, fa = m, fm
     return 0.5 * (a + b)

@@ -36,6 +36,8 @@ from .field import (
     rotation_rate,
 )
 from .paths import (
+    ERROR_MAPS,
+    PATH_KINDS,
     ArctanPower,
     CassiniPath,
     CirclePath,
@@ -48,8 +50,6 @@ from .paths import (
     PolynomialPath,
     RationalSignPower,
     check_derivatives,
-    make_error_map,
-    make_path,
 )
 from .sim import (
     Pose,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field as gvf
-from .util import PADDED_WORKSPACE, bisect_root
+from .util import bisect_root
 
 # The critical-point search seeds Newton from a GRID_N x GRID_N lattice and
 # merges roots closer than MERGE_RADIUS (Px).
@@ -66,17 +66,24 @@ class CriticalPointSearch:
     locations: list
     unclassifiable: list
 
+    @property
+    def points(self):
+        """The whole critical set, locations then unclassifiable roots, as
+        an (n, 2) array."""
+        return np.array(self.locations + self.unclassifiable,
+                        dtype=float).reshape(-1, 2)
+
 
 def find_critical_points(path, region=None):
     """Newton search for gradient zeros from a grid of seeds.
 
     Seeds a 64 x 64 lattice over the region (default: the path's working
-    region or the padded workspace), iterates Newton steps with the Hessian
-    as Jacobian, keeps roots with |grad| < 1e-12, merges duplicates within
-    1e-6 Px, and sorts lexicographically.
+    region), iterates Newton steps with the Hessian as Jacobian, keeps roots
+    with |grad| < 1e-12, merges duplicates within 1e-6 Px, and sorts
+    lexicographically.
     """
     if region is None:
-        region = getattr(path, "region", PADDED_WORKSPACE)
+        region = path.region
     pts = region.grid(GRID_N, GRID_N).astype(float)
 
     for _ in range(NEWTON_MAX_ITER):
@@ -201,7 +208,7 @@ def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None,
     and the convergence guarantee holds when d0 > rhs_1.
     """
     if region is None:
-        region = getattr(path, "region", PADDED_WORKSPACE)
+        region = path.region
     p0 = np.array([pose0.x, pose0.y])
     e0 = float(errmap.psi(path.phi(p0)))
     if not abs(e0) < e_c:
@@ -259,7 +266,7 @@ def sample_invariant_set(path, errmap, k_n, e_c, n, rng, region=None):
     error drawn uniformly in (-0.98 band, 0.98 band).
     """
     if region is None:
-        region = getattr(path, "region", PADDED_WORKSPACE)
+        region = path.region
     band = math.atan(k_n * e_c)
     out = np.empty((0, 3))
     while len(out) < n:

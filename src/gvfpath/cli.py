@@ -105,7 +105,7 @@ def run_scenario(scn, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     controller = scn.controller_params()
     u_r = None if scn.controller == "gvf" else scn.u_r
-    crit = sim._critical_locations(scn.path, PADDED_WORKSPACE)
+    crit = analysis.find_critical_points(scn.path, PADDED_WORKSPACE).points
 
     trajs = sim._simulate_runs(scn.path, scn.errmap, controller,
                                [pose for _, pose in scn.poses], dt=scn.dt,
@@ -136,7 +136,7 @@ def export_field_grid(path, errmap, k_n, region, nx, ny, out_file,
     """
     if nx < 2 or ny < 2:
         raise ValueError("field grid resolution must be at least 2")
-    crit = sim._critical_locations(path, region)
+    crit = analysis.find_critical_points(path, region).points
 
     pts = region.grid(nx, ny)
     fs = gvf.field_arrays(path, errmap, k_n, pts, eps=degeneracy_eps)
@@ -177,7 +177,7 @@ def basin_sweep(scn, out_file):
     poses = np.concatenate(
         [np.column_stack([grid, np.full(len(grid), h)]) for h in headings])
 
-    crit = sim._critical_locations(scn.path, PADDED_WORKSPACE)
+    crit = analysis.find_critical_points(scn.path, PADDED_WORKSPACE).points
     if len(crit):
         d = np.min(np.hypot(poses[:, 0, None] - crit[:, 0],
                             poses[:, 1, None] - crit[:, 1]), axis=1)
@@ -232,7 +232,7 @@ def compare_controllers(scn, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     label, pose = scn.poses[0]
-    crit = sim._critical_locations(scn.path, PADDED_WORKSPACE)
+    crit = analysis.find_critical_points(scn.path, PADDED_WORKSPACE).points
 
     rows = []
     for name in scn.compare.controllers:
@@ -263,8 +263,7 @@ def write_critical_report(scn, out_file):
     k_n = scn.gvf.k_n if scn.gvf is not None else 1.0
     points = [analysis.classify_critical_point(scn.path, scn.errmap, k_n, loc)
               for loc in found.locations]
-    e_c = analysis.critical_error_threshold(
-        scn.path, scn.errmap, list(found.locations) + list(found.unclassifiable))
+    e_c = analysis.critical_error_threshold(scn.path, scn.errmap, found.points)
 
     lines = [f"scenario = {scn.name}", f"count = {len(points)}",
              f"unclassifiable = {len(found.unclassifiable)}",

@@ -77,10 +77,13 @@ class ImplicitPath:
     """Base class: vectorized phi/grad/hess plus distance machinery.
 
     Subclasses are frozen dataclasses; all derived data is cached, so
-    instances are immutable and safe to share across threads.
+    instances are immutable and safe to share across threads.  region is the
+    working region: a field of the line and polynomial paths, the padded
+    workspace for the others.
     """
 
     closed = False
+    region = PADDED_WORKSPACE
 
     @property
     def has_parametric(self):
@@ -230,7 +233,7 @@ class ImplicitPath:
 
     @cached_property
     def _contour_pts(self):
-        region = getattr(self, "region", PADDED_WORKSPACE)
+        region = self.region
         xs = np.linspace(region.xmin, region.xmax, CONTOUR_GRID)
         ys = np.linspace(region.ymin, region.ymax, CONTOUR_GRID)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -477,6 +480,10 @@ class CassiniPath(ImplicitPath):
         return np.stack([self.x0 + r * np.cos(th), self.y0 + r * np.sin(th)], axis=-1)
 
 
+# Polynomial terms ((i, j, c), ...): c * x^i * y^j each.
+Terms = tuple[tuple[int, int, float], ...]
+
+
 @dataclass(frozen=True)
 class PolynomialPath(ImplicitPath):
     """phi = sum c * x^i * y^j over terms ((i, j, c), ...).
@@ -486,7 +493,7 @@ class PolynomialPath(ImplicitPath):
     form; distance queries fall back to the rasterized zero contour.
     """
 
-    terms: tuple
+    terms: Terms
     region: Region = PADDED_WORKSPACE
 
     closed = False
@@ -560,28 +567,8 @@ class PolynomialPath(ImplicitPath):
         return h
 
 
-_KINDS = {
-    "line": (LinePath, ("a", "b", "c")),
-    "circle": (CirclePath, ("x0", "y0", "radius", "k_s")),
-    "ellipse": (EllipsePath, ("x0", "y0", "R", "p", "q", "k_s")),
-    "cassini": (CassiniPath, ("x0", "y0", "p", "q", "k_s")),
-    "polynomial": (PolynomialPath, ("terms",)),
-}
-
-
-def make_path(kind, params):
-    """Construct a path from a kind name and a parameter mapping."""
-    key = str(kind).lower()
-    if key not in _KINDS:
-        raise PathError(f"unknown path kind {kind!r}; choose from {sorted(_KINDS)}")
-    cls, names = _KINDS[key]
-    unknown = set(params) - set(names) - {"region"}
-    if unknown:
-        raise PathError(f"unknown parameter(s) {sorted(unknown)} for {key}")
-    try:
-        return cls(**params)
-    except TypeError as exc:
-        raise PathError(f"bad parameters for {key}: {exc}") from None
+PATH_KINDS = {"line": LinePath, "circle": CirclePath, "ellipse": EllipsePath,
+              "cassini": CassiniPath, "polynomial": PolynomialPath}
 
 
 def check_derivatives(path, point, h=None):
@@ -704,21 +691,5 @@ class RationalSignPower(ErrorMap):
         return (self.p + 1.0) ** 2 / (4.0 * self.p) * r ** ((self.p - 1.0) / self.p)
 
 
-_ERROR_MAPS = {
-    "identity": IdentityMap,
-    "arctan_power": ArctanPower,
-    "rational_sign_power": RationalSignPower,
-}
-
-
-def make_error_map(kind, p=None):
-    key = str(kind).lower()
-    if key not in _ERROR_MAPS:
-        raise ValueError(
-            f"unknown error map {kind!r}; choose from {sorted(_ERROR_MAPS)}"
-        )
-    if key == "identity":
-        if p is not None:
-            raise ValueError("identity error map takes no power")
-        return IdentityMap()
-    return _ERROR_MAPS[key](p=1.0 if p is None else float(p))
+ERROR_MAPS = {"identity": IdentityMap, "arctan_power": ArctanPower,
+              "rational_sign_power": RationalSignPower}

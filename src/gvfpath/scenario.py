@@ -10,11 +10,11 @@ A scenario file is INI-style text with nested section names, e.g.
     t_max = 120.0
 
     [path]
-    kind = ellipse          ; line | circle | ellipse | cassini | polynomial
+    kind = ellipse          ; a key of paths.PATH_KINDS
     x0 = 600.0 ...
 
     [error_map]
-    kind = identity         ; identity | arctan_power | rational_sign_power
+    kind = identity         ; a key of paths.ERROR_MAPS
 
     [controller.gvf]        ; gains of each law live in controller.<kind>
     k_n = 3.0
@@ -24,10 +24,11 @@ A scenario file is INI-style text with nested section names, e.g.
     [initial_poses]         ; label = x y alpha   (at least one)
     [field_grid] [basin] [compare]   ; optional, verb-specific
 
-The controller, [stop], [field_grid], [basin] and [compare] sections are read
-and written key by key from the fields of their dataclass: an absent key
-takes the field default, and the dataclass checks the values.  Unknown
-sections and keys are errors.
+Every section but [scenario] and [initial_poses] is read and written key by
+key from the fields of its dataclass: an absent key takes the field default,
+and the dataclass checks the values.  In [path] and [error_map], kind names
+the dataclass in paths.PATH_KINDS or paths.ERROR_MAPS.  Unknown sections and
+keys are errors.
 
 The parser and serializer are inverses: parse(serialize(s)) == s, and the
 bundled configs are stored in canonical serialized form.
@@ -44,8 +45,7 @@ from importlib import resources
 
 from .controllers import Direction, LosParams, NglParams
 from .field import GvfParams
-from .paths import _KINDS as _PATH_KINDS
-from .paths import make_error_map, make_path
+from .paths import ERROR_MAPS, PATH_KINDS, Terms
 from .sim import Pose, StopPolicy
 from .util import PADDED_WORKSPACE, Region, require_positive
 
@@ -169,48 +169,6 @@ def _parse_region(raw, where):
         raise ConfigError(f"{where}: bad region {raw!r}: {exc}") from None
 
 
-def _parse_path(cp):
-    if not cp.has_section("path"):
-        raise ConfigError("missing [path] section")
-    kind = _want(cp, "path", "kind").lower()
-    params = {}
-    for key, raw in cp.items("path"):
-        if key == "kind":
-            continue
-        where = f"[path] {key}"
-        if key == "region":
-            params["region"] = _parse_region(raw, where)
-        elif key == "terms":
-            terms = []
-            for chunk in raw.split(","):
-                parts = chunk.split()
-                if len(parts) != 3:
-                    raise ConfigError(
-                        f"[path] terms: each term is 'i j c', got {chunk.strip()!r}")
-                terms.append((_integer(parts[0], where), _integer(parts[1], where),
-                              _number(parts[2], where)))
-            params["terms"] = tuple(terms)
-        else:
-            params[key] = _number(raw, where)
-    try:
-        return make_path(kind, params)
-    except Exception as exc:
-        raise ConfigError(f"[path]: {exc}") from None
-
-
-def _parse_errmap(cp):
-    if not cp.has_section("error_map"):
-        raise ConfigError("missing [error_map] section")
-    _check_keys(cp, "error_map", ("kind", "p"))
-    kind = _want(cp, "error_map", "kind").lower()
-    raw = cp.get("error_map", "p", fallback=None)
-    p = None if raw is None else _number(raw, "[error_map] p")
-    try:
-        return make_error_map(kind, p)
-    except Exception as exc:
-        raise ConfigError(f"[error_map]: {exc}") from None
-
-
 def _direction(raw, where):
     raw = raw.lower()
     try:
@@ -226,15 +184,16 @@ def _check_keys(cp, section, known):
                               f"of {', '.join(known)}")
 
 
-def _read_section(cp, section, cls, given):
+def _read_section(cp, section, cls, given, extra=()):
     """cls from the keys of [section] and the field values in given.
 
     Each key is parsed by the type of its field.  An absent key takes the
-    field default, and an absent section reads as an empty one.
+    field default, and an absent section reads as an empty one.  The keys
+    in extra are accepted and left to the caller.
     """
     schema = [row for row in _schema(cls) if row[0] not in given]
     if cp.has_section(section):
-        _check_keys(cp, section, [name for name, *_ in schema])
+        _check_keys(cp, section, [*extra, *(name for name, *_ in schema)])
     kw = dict(given)
     for name, default, parse, _ in schema:
         if cp.has_option(section, name):
@@ -245,6 +204,17 @@ def _read_section(cp, section, cls, given):
         return cls(**kw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _read_kind(cp, section, kinds):
+    """kinds[kind] read from [section], whose other keys are its fields."""
+    if not cp.has_section(section):
+        raise ConfigError(f"missing [{section}] section")
+    kind = _want(cp, section, "kind").lower()
+    if kind not in kinds:
+        raise ConfigError(f"[{section}] kind must be one of {', '.join(kinds)}, "
+                          f"got {kind!r}")
+    return _read_section(cp, section, kinds[kind], {}, extra=("kind",))
 
 
 def parse_scenario(text):
@@ -274,8 +244,8 @@ def parse_scenario(text):
     except ValueError as exc:
         raise ConfigError(f"[scenario] {exc}") from None
 
-    path = _parse_path(cp)
-    errmap = _parse_errmap(cp)
+    path = _read_kind(cp, "path", PATH_KINDS)
+    errmap = _read_kind(cp, "error_map", ERROR_MAPS)
 
     sections = dict.fromkeys(_CONTROLLERS)
     for section, (attr, cls) in _DATACLASS_SECTIONS.items():
@@ -313,39 +283,24 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _path_lines(path):
-    for kind, (cls, names) in _PATH_KINDS.items():
-        if isinstance(path, cls):
-            break
-    else:
-        raise ConfigError(f"cannot serialize path {type(path).__name__}")
-    lines = [("kind", kind)]
-    for name in names:
-        value = getattr(path, name)
-        if name == "terms":
-            lines.append((name, ", ".join(f"{i} {j} {_fmt(c)}" for i, j, c in value)))
-        else:
-            lines.append((name, _fmt(value)))
-    region = getattr(path, "region", PADDED_WORKSPACE)
-    if region != PADDED_WORKSPACE:
-        lines.append(("region", _region_str(region)))
-    return lines
-
-
-def _errmap_lines(errmap):
-    name = {"IdentityMap": "identity", "ArctanPower": "arctan_power",
-            "RationalSignPower": "rational_sign_power"}.get(type(errmap).__name__)
-    if name is None:
-        raise ConfigError(f"cannot serialize error map {type(errmap).__name__}")
-    lines = [("kind", name)]
-    if name != "identity":
-        lines.append(("p", _fmt(errmap.p)))
-    return lines
-
-
 def _region_str(region):
     return (f"{_fmt(region.xmin)} {_fmt(region.xmax)} "
             f"{_fmt(region.ymin)} {_fmt(region.ymax)}")
+
+
+def _parse_terms(raw, where):
+    terms = []
+    for chunk in raw.split(","):
+        parts = chunk.split()
+        if len(parts) != 3:
+            raise ConfigError(f"{where}: each term is 'i j c', got {chunk.strip()!r}")
+        terms.append((_integer(parts[0], where), _integer(parts[1], where),
+                      _number(parts[2], where)))
+    return tuple(terms)
+
+
+def _terms_str(terms):
+    return ", ".join(f"{i} {j} {_fmt(c)}" for i, j, c in terms)
 
 
 # How a field of each type is parsed from and written to text.
@@ -355,6 +310,7 @@ _CODECS = {
     Region: (_parse_region, _region_str),
     Direction: (_direction, lambda d: d.value),
     tuple: (lambda raw, where: tuple(raw.split()), " ".join),
+    Terms: (_parse_terms, _terms_str),
 }
 
 
@@ -365,22 +321,34 @@ def _schema(cls):
     return tuple((f.name, f.default, *_CODECS[hints[f.name]]) for f in fields(cls))
 
 
+def _write_fields(obj, skip=()):
+    """{name: text} for each field of a section dataclass not in skip."""
+    return {name: fmt(getattr(obj, name))
+            for name, _, _, fmt in _schema(type(obj)) if name not in skip}
+
+
+def _write_kind(obj, kinds):
+    """kind, then the fields of obj, whose class kinds names."""
+    for kind, cls in kinds.items():
+        if type(obj) is cls:
+            return {"kind": kind, **_write_fields(obj)}
+    raise ConfigError(f"cannot serialize {type(obj).__name__}")
+
+
 def serialize_scenario(scn):
     """Canonical text form of a scenario; inverse of parse_scenario."""
     text = {
         "scenario": {"name": scn.name, "controller": scn.controller,
                      "u_r": _fmt(scn.u_r), "dt": _fmt(scn.dt), "t_max": _fmt(scn.t_max)},
-        "path": dict(_path_lines(scn.path)),
-        "error_map": dict(_errmap_lines(scn.errmap)),
+        "path": _write_kind(scn.path, PATH_KINDS),
+        "error_map": _write_kind(scn.errmap, ERROR_MAPS),
         "initial_poses": {label: f"{_fmt(p.x)} {_fmt(p.y)} {_fmt(p.alpha)}"
                           for label, p in scn.poses},
     }
     for section, (attr, cls) in _DATACLASS_SECTIONS.items():
         obj = getattr(scn, attr)
         if obj is not None:
-            skip = ("u_r",) if cls is GvfParams else ()
-            text[section] = {name: fmt(getattr(obj, name))
-                             for name, _, _, fmt in _schema(cls) if name not in skip}
+            text[section] = _write_fields(obj, ("u_r",) if cls is GvfParams else ())
 
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str

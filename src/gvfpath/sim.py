@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
 from . import controllers as ctl
 from . import field as gvf
 from .paths import PathError
@@ -158,16 +159,6 @@ def _rk4_step(x, y, alpha, u_r, omega, dt):
     return x1, y1, a_end
 
 
-def _critical_locations(path, region):
-    from .analysis import find_critical_points
-
-    found = find_critical_points(path, region=region)
-    locs = list(found.locations) + list(found.unclassifiable)
-    if not locs:
-        return np.zeros((0, 2))
-    return np.asarray(locs, dtype=float).reshape(-1, 2)
-
-
 def _run(command, path, state, dt, t_max, stop, domain, critical_points,
          record=None, record_dist=False):
     """The batched time-step loop and its termination ledger.
@@ -195,7 +186,7 @@ def _run(command, path, state, dt, t_max, stop, domain, critical_points,
         return code, t_fin, fin, fin_e, fin_d
     crit = (np.asarray(critical_points, dtype=float).reshape(-1, 2)
             if critical_points is not None
-            else _critical_locations(path, domain))
+            else analysis.find_critical_points(path, region=domain).points)
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)

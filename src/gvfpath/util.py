@@ -48,8 +48,11 @@ class Region:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError(f"degenerate region {self}")
+        # NaN fails every comparison, so this also rejects NaN bounds.
+        inf = math.inf
+        if not (-inf < self.xmin < self.xmax < inf and -inf < self.ymin < self.ymax < inf):
+            raise ValueError(f"region needs finite bounds with xmin < xmax and "
+                             f"ymin < ymax, got {self}")
 
     @property
     def center(self):

@@ -56,6 +56,19 @@ def test_degenerate_hessian_reported_not_dropped():
     assert found.unclassifiable[0] == pytest.approx([0.0, 0.0], abs=1e-3)
 
 
+def test_critical_set_points(cassini, line_y0):
+    # points is the whole critical set: locations, then unclassifiable roots.
+    found = find_critical_points(cassini)
+    assert np.array_equal(found.points, np.array(found.locations))
+    assert find_critical_points(line_y0).points.shape == (0, 2)
+    quartic = PolynomialPath(terms=((4, 0, 1.0), (0, 4, 1.0)))
+    found = find_critical_points(quartic)
+    assert np.array_equal(found.points, np.array(found.unclassifiable))
+    merged = type(found)(locations=[np.array([1.0, 2.0])],
+                         unclassifiable=[np.array([3.0, 4.0])])
+    assert merged.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def test_classify_ellipse_center_repulsive(ellipse, identity):
     cp = classify_critical_point(ellipse, identity, 3.0, (600.0, 350.0))
     assert cp.classification is Classification.REPULSIVE

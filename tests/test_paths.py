@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvfpath import (
+    ERROR_MAPS,
+    PATH_KINDS,
     ArctanPower,
     CassiniPath,
     CirclePath,
@@ -18,8 +20,6 @@ from gvfpath import (
     RationalSignPower,
     Region,
     check_derivatives,
-    make_error_map,
-    make_path,
 )
 from gvfpath.paths import BOUNDARY_SAMPLES, COARSE_STRIDE, CONTOUR_BLOCK
 from gvfpath.util import PADDED_WORKSPACE
@@ -29,21 +29,23 @@ ALL_MAPS = [IdentityMap(), ArctanPower(1.0), ArctanPower(2.0),
 
 
 def test_make_path_experiment_ellipse(ellipse):
-    built = make_path("ellipse", dict(x0=600, y0=350, R=400, p=1.0, q=0.5, k_s=1e-5))
+    built = PATH_KINDS["ellipse"](x0=600, y0=350, R=400, p=1.0, q=0.5, k_s=1e-5)
     assert built == ellipse
 
 
 def test_make_path_rejects_bad_params():
+    # Unknown kinds and keys are config errors: see INVALID in
+    # test_scenario_cli.py.
     with pytest.raises(PathError):
-        make_path("ellipse", dict(x0=0, y0=0, R=-1.0, p=1.0, q=1.0, k_s=1.0))
+        PATH_KINDS["ellipse"](x0=0, y0=0, R=-1.0, p=1.0, q=1.0, k_s=1.0)
     with pytest.raises(PathError):
-        make_path("cassini", dict(x0=0, y0=0, p=1.0, q=2.0, k_s=1.0))  # two loops
+        PATH_KINDS["cassini"](x0=0, y0=0, p=1.0, q=2.0, k_s=1.0)  # two loops
     with pytest.raises(PathError):
-        make_path("line", dict(a=0.0, b=0.0, c=1.0))
+        PATH_KINDS["line"](a=0.0, b=0.0, c=1.0)
     with pytest.raises(PathError):
-        make_path("superellipse", dict())
+        PATH_KINDS["polynomial"](terms=())
     with pytest.raises(PathError):
-        make_path("circle", dict(x0=0, y0=0, radius=1.0, k_s=1.0, bogus=2.0))
+        PATH_KINDS["polynomial"](terms=((-1, 0, 1.0),))
 
 
 VALID_PARAMS = {
@@ -64,7 +66,7 @@ def test_make_path_rejects_non_finite_params(kind, name, value):
     else:
         params = {**VALID_PARAMS[kind], name: value}
     with pytest.raises(PathError, match=rf"{kind}: .*{name}.* must be"):
-        make_path(kind, params)
+        PATH_KINDS[kind](**params)
 
 
 def test_eval_path_ellipse_points(ellipse):
@@ -115,12 +117,12 @@ def test_eval_error_examples():
 
 
 def test_error_map_power_validation():
-    with pytest.raises(ValueError):
-        ArctanPower(0.5)
-    with pytest.raises(ValueError):
-        make_error_map("identity", p=2.0)
-    with pytest.raises(ValueError):
-        make_error_map("tanh")
+    # A power on the identity map and an unknown map name are config
+    # errors: see INVALID in test_scenario_cli.py.
+    for cls in (ERROR_MAPS["arctan_power"], ERROR_MAPS["rational_sign_power"]):
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cls(p)
 
 
 @pytest.mark.parametrize("errmap", ALL_MAPS, ids=lambda m: repr(m))

@@ -6,7 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gvfpath import EllipsePath, GvfParams, IdentityMap, Region, StopPolicy
+from gvfpath import (
+    ERROR_MAPS,
+    PATH_KINDS,
+    ArctanPower,
+    CassiniPath,
+    CirclePath,
+    EllipsePath,
+    GvfParams,
+    IdentityMap,
+    LinePath,
+    PolynomialPath,
+    RationalSignPower,
+    Region,
+    StopPolicy,
+)
 from gvfpath.cli import (
     basin_sweep,
     compare_controllers,
@@ -129,9 +143,26 @@ INVALID = [
                  "simulate", "[controler.ngl]", id="controler.ngl"),
     pytest.param("headings = 4", "headings = 0", "basin", "[basin] headings",
                  id="headings-0"),
-    pytest.param("R = 400.0", "R = nan", "simulate", "[path]: ellipse: R", id="R-nan"),
-    pytest.param("x0 = 600.0", "x0 = inf", "simulate", "[path]: ellipse: x0",
+    pytest.param("R = 400.0", "R = nan", "simulate", "[path] ellipse: R", id="R-nan"),
+    pytest.param("x0 = 600.0", "x0 = inf", "simulate", "[path] ellipse: x0",
                  id="x0-inf"),
+    pytest.param("kind = ellipse", "kind = superellipse", "simulate",
+                 "[path] kind must be one of", id="path-kind"),
+    pytest.param("k_s = 1e-05", "k_s = 1e-05\nbogus = 2.0", "simulate",
+                 "[path] bogus is not a known key", id="path-bogus"),
+    # region is a field of the line and polynomial paths only.
+    pytest.param("k_s = 1e-05", "k_s = 1e-05\nregion = 0.0 1280.0 0.0 720.0",
+                 "simulate", "[path] region is not a known key", id="ellipse-region"),
+    pytest.param("kind = identity", "kind = tanh", "simulate",
+                 "[error_map] kind must be one of", id="error_map-kind"),
+    pytest.param("kind = identity", "kind = identity\np = 2.0", "simulate",
+                 "[error_map] p is not a known key", id="identity-p"),
+    # The first region of the file is the one in [field_grid].
+    pytest.param("region = 0.0 1280.0 0.0 720.0", "region = 0.0 inf 0.0 720.0",
+                 "field", "[field_grid] region", id="field_grid-region-inf"),
+    pytest.param("t_max = 600.0\nregion = 0.0 1280.0 0.0 720.0",
+                 "t_max = 600.0\nregion = 0.0 inf 0.0 720.0", "basin",
+                 "[basin] region", id="basin-region-inf"),
     pytest.param("[stop]", LOS + "direction = sideways\n\n[stop]", "simulate",
                  "[controller.los] direction must be forward or reverse",
                  id="direction-sideways"),
@@ -152,6 +183,63 @@ def test_invalid_config_names_section_and_key(old, new, verb, needle, tmp_path, 
     stderr = capsys.readouterr().err
     assert stderr.startswith("error:") and needle in stderr
     assert "Traceback" not in stderr
+
+
+# One instance of every path kind and error map, each with a field value
+# that differs from its default.
+PATH_SAMPLES = {
+    "line": LinePath(a=0.25, b=1.0, c=-350.0, region=Region(-100.0, 1400.0, -50.0, 800.0)),
+    "circle": CirclePath(x0=640.0, y0=360.0, radius=250.0, k_s=0.5),
+    "ellipse": EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    "cassini": CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+    "polynomial": PolynomialPath(terms=((2, 0, 1.0), (0, 2, 4.0), (0, 0, -1.5e4)),
+                                 region=Region(-500.0, 500.0, -300.0, 300.0)),
+}
+ERROR_MAP_SAMPLES = {
+    "identity": IdentityMap(),
+    "arctan_power": ArctanPower(2.5),
+    "rational_sign_power": RationalSignPower(3.0),
+}
+
+
+def test_samples_cover_every_kind():
+    assert PATH_SAMPLES.keys() == PATH_KINDS.keys()
+    assert ERROR_MAP_SAMPLES.keys() == ERROR_MAPS.keys()
+
+
+@pytest.mark.parametrize("section,attr,kind,value", [
+    *(pytest.param("path", "path", kind, v, id=f"path-{kind}")
+      for kind, v in PATH_SAMPLES.items()),
+    *(pytest.param("error_map", "errmap", kind, v, id=f"error_map-{kind}")
+      for kind, v in ERROR_MAP_SAMPLES.items()),
+])
+def test_every_kind_round_trips(section, attr, kind, value):
+    scn = dataclasses.replace(parse_scenario(SMALL_SCENARIO), **{attr: value})
+    text = serialize_scenario(scn)
+    body = text.split(f"[{section}]\n")[1].split("\n\n")[0].splitlines()
+    assert body[0] == f"kind = {kind}"
+    # kind, then every field of the class, in field order.
+    assert [line.split(" = ")[0] for line in body[1:]] == [
+        f.name for f in dataclasses.fields(value)]
+    back = parse_scenario(text)
+    assert getattr(back, attr) == value and back == scn
+    assert serialize_scenario(back) == text
+
+
+def test_terms_text_form():
+    text = SMALL_SCENARIO.replace(
+        "kind = ellipse", "kind = polynomial\nterms = 2 0 1.0, 0 2 4.0 , 0 0 -1.5e4")
+    text = "\n".join(line for line in text.splitlines()
+                     if line.split(" = ")[0] not in ("x0", "y0", "R", "p", "q", "k_s"))
+    scn = parse_scenario(text)
+    assert scn.path == PolynomialPath(terms=((2, 0, 1.0), (0, 2, 4.0), (0, 0, -15000.0)))
+    assert "terms = 2 0 1.0, 0 2 4.0, 0 0 -15000.0\n" in serialize_scenario(scn)
+    for bad, needle in [("2 0", "each term is 'i j c'"),
+                        ("2.5 0 1.0", "must be an integer"),
+                        ("2 0 one", "is not a number")]:
+        with pytest.raises(ConfigError, match=r"\[path\] terms") as err:
+            parse_scenario(text.replace("2 0 1.0,", bad + ","))
+        assert needle in str(err.value)
 
 
 def test_section_defaults_and_checks_live_in_the_dataclasses():
@@ -342,6 +430,45 @@ def test_cli_main_happy_and_error_paths(tmp_path, capsys):
     grid_cfg = tmp_path / "nogrid.cfg"
     grid_cfg.write_text(SMALL_SCENARIO)
     assert main(["field", str(grid_cfg), "-o", str(tmp_path / "fg")]) == 2
+
+
+# The ellipse of SMALL_SCENARIO, expanded: 1e-5 (x - 600)^2 + 4e-5 (y - 350)^2 - 1.6.
+POLYNOMIAL_PATH = """[path]
+kind = polynomial
+terms = 2 0 1e-05, 1 0 -0.012, 0 2 4e-05, 0 1 -0.028, 0 0 6.9
+"""
+
+
+def test_cli_simulate_polynomial_path(tmp_path, ellipse):
+    # A polynomial path has no parametric form, so dist_path comes from the
+    # rasterized zero contour; it agrees with the ellipse to about a cell.
+    head, tail = SMALL_SCENARIO.split("[path]")
+    cfg = tmp_path / "poly.cfg"
+    cfg.write_text(head + POLYNOMIAL_PATH + "\n[" + tail.split("\n[", 1)[1])
+    assert isinstance(parse_scenario(cfg.read_text()).path, PolynomialPath)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "run")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "run" / "smoke_a.csv")))
+    assert len(rows) > 100
+    xy = np.array([[float(r["x"]), float(r["y"])] for r in rows])
+    dist = np.array([float(r["dist_path"]) for r in rows])
+    assert np.all(np.isfinite(dist))
+    assert np.abs(dist - ellipse.distance_many(xy)).max() < 3.0
+
+
+def test_cli_basin_and_compare_write_their_files(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SCENARIO.replace("t_max = 4.0", "t_max = 1.0") + LOS
+                   + "\n[controller.ngl]\nradius = 40.0\nk_r = 2.0\n"
+                   "\n[basin]\nnx = 3\nny = 2\nheadings = 1\nt_max = 1.0\n"
+                   "region = 300.0 900.0 100.0 300.0\n\n[compare]\n")
+    assert main(["basin", str(cfg), "-o", str(tmp_path / "b")]) == 0
+    lines = (tmp_path / "b" / "basin.csv").read_text().splitlines()
+    assert lines[0] == "x,y,alpha,label,t_final" and len(lines) == 7
+    assert main(["compare", str(cfg), "-o", str(tmp_path / "c")]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "c" / "comparison.csv")))
+    assert [r["controller"] for r in rows] == ["gvf", "los", "ngl"]
+    for name in ("gvf", "los", "ngl"):
+        assert (tmp_path / "c" / f"compare_{name}.csv").stat().st_size > 0
 
 
 def test_cli_rejects_non_finite_pose(tmp_path, capsys):

@@ -43,3 +43,12 @@ def test_region_geometry():
     assert grid.shape == (15, 2)
     with pytest.raises(ValueError):
         Region(1.0, 1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.0, math.inf, 0.0, 720.0), (-math.inf, 0.0, 0.0, 720.0),
+    (0.0, 1280.0, 0.0, math.inf), (0.0, math.nan, 0.0, 720.0),
+])
+def test_region_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Region(*bounds)

@@ -161,13 +161,20 @@ def classify_critical_point(path, errmap, k_n, location):
     )
 
 
+def critical_distance(pts, critical_points):
+    """Distance from each of the points (m, 2) to the nearest of the critical
+    points (n, 2); +inf when there are none."""
+    pts = np.asarray(pts, dtype=float)
+    crit = np.asarray(critical_points, dtype=float).reshape(-1, 2)
+    # (n, m) differences, so the min runs over n contiguous rows.
+    dx, dy = pts[:, 0] - crit[:, :1], pts[:, 1] - crit[:, 1:]
+    return np.sqrt(np.min(dx * dx + dy * dy, axis=0, initial=math.inf))
+
+
 def critical_error_threshold(path, errmap, critical_points):
     """e_c = min |e| over the critical set; +inf when the set is empty."""
-    locs = list(critical_points)
-    if not locs:
-        return math.inf
-    return float(min(abs(float(errmap.psi(path.phi(np.asarray(p, dtype=float)))))
-                     for p in locs))
+    pts = np.asarray(critical_points, dtype=float).reshape(-1, 2)
+    return float(np.min(np.abs(errmap.psi(path.phi(pts))), initial=math.inf))
 
 
 def in_invariant_set(path, errmap, k_n, e_c, pose):
@@ -193,13 +200,12 @@ VIABILITY_RASTER = 512
 SAMPLE_MARGIN = 0.98
 
 
-def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None,
-                    region=None):
+def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None):
     """Finite-time capture test of the invariant set from an initial pose.
 
     d0 is a lower bound on the distance from pose0 to {|e| >= e_c}: from the
     Lipschitz constant of e when given, else measured on a raster of the
-    working region.  The capture bounds are
+    path's working region.  The capture bounds are
 
         rhs_1 = (u_r/k_delta) ln(|delta(0)| / arctan(k_n e_c))   (0 if already
                 inside the heading band)
@@ -207,8 +213,6 @@ def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None,
 
     and the convergence guarantee holds when d0 > rhs_1.
     """
-    if region is None:
-        region = path.region
     p0 = np.array([pose0.x, pose0.y])
     e0 = float(errmap.psi(path.phi(p0)))
     if not abs(e0) < e_c:
@@ -219,7 +223,7 @@ def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None,
             raise ValueError("lipschitz_c must be positive")
         d0 = (e_c - abs(e0)) / lipschitz_c
     else:
-        d0 = _raster_viability_distance(path, errmap, p0, e_c, region)
+        d0 = _raster_viability_distance(path, errmap, p0, e_c)
 
     fs = gvf.field_arrays(path, errmap, params.k_n, p0, eps=params.degeneracy_eps)
     if not bool(fs["regular"]):
@@ -237,10 +241,10 @@ def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None,
     )
 
 
-def _raster_viability_distance(path, errmap, p0, e_c, region):
+def _raster_viability_distance(path, errmap, p0, e_c):
     if not math.isfinite(e_c):
         return math.inf
-    nodes = region.grid(VIABILITY_RASTER, VIABILITY_RASTER)
+    nodes = path.region.grid(VIABILITY_RASTER, VIABILITY_RASTER)
     e = np.abs(errmap.psi(path.phi(nodes)))
     bad = nodes[e >= e_c]
     if len(bad) == 0:
@@ -258,19 +262,17 @@ def _raster_viability_distance(path, errmap, p0, e_c, region):
     return float(t_star * np.hypot(*(target - p0)))
 
 
-def sample_invariant_set(path, errmap, k_n, e_c, n, rng, region=None):
+def sample_invariant_set(path, errmap, k_n, e_c, n, rng):
     """n poses sampled strictly inside M, as an (n, 3) array.
 
-    Positions are drawn uniformly over the region subject to
+    Positions are drawn uniformly over the path's working region subject to
     |e| < 0.98 e_c and regularity; headings are composed from a heading
     error drawn uniformly in (-0.98 band, 0.98 band).
     """
-    if region is None:
-        region = path.region
     band = math.atan(k_n * e_c)
     out = np.empty((0, 3))
     while len(out) < n:
-        pts = region.sample(rng, 4 * n)
+        pts = path.region.sample(rng, 4 * n)
         fs = gvf.field_arrays(path, errmap, k_n, pts)
         keep = fs["regular"] & (np.abs(fs["e"]) < SAMPLE_MARGIN * e_c)
         pts, m_d = pts[keep], fs["m_d"][keep]

@@ -43,13 +43,17 @@ from .util import PADDED_WORKSPACE, wrap_angle
 CSV_COLUMNS = ("t", "x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist_path")
 
 
-def write_trajectory_csv(out_file, traj):
+def _write_csv(out_file, header, *columns):
+    """Header, then one row per index of the columns: str of each .tolist() value."""
     with open(out_file, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        cols = (traj.t, traj.x, traj.y, traj.alpha, traj.e, traj.delta,
-                traj.omega_d, traj.omega, traj.dist)
-        for row in zip(*(c.tolist() for c in cols)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def write_trajectory_csv(out_file, traj):
+    _write_csv(out_file, CSV_COLUMNS, traj.t, traj.x, traj.y, traj.alpha, traj.e,
+               traj.delta, traj.omega_d, traj.omega, traj.dist)
 
 
 def first_touch_index(e, dist, touch_eps=0.5):
@@ -105,24 +109,21 @@ def run_scenario(scn, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     controller = scn.controller_params()
     u_r = None if scn.controller == "gvf" else scn.u_r
-    crit = analysis.find_critical_points(scn.path, PADDED_WORKSPACE).points
 
     trajs = sim._simulate_runs(scn.path, scn.errmap, controller,
                                [pose for _, pose in scn.poses], dt=scn.dt,
-                               t_max=scn.t_max, stop=scn.stop, u_r=u_r,
-                               critical_points=crit)
+                               t_max=scn.t_max, stop=scn.stop, u_r=u_r)
     summaries = []
     for (label, _), traj in zip(scn.poses, trajs):
         write_trajectory_csv(out / f"{scn.name}_{label}.csv", traj)
         summaries.append(summarize_run(label, traj))
 
-    with open(out / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write("label,termination,t_final,final_abs_e,"
-                 "max_abs_e_after_touch,max_dist_overshoot\n")
-        for s in summaries:
-            fh.write(f"{s.label},{s.kind.value},{_fmt(s.t_final)},"
-                     f"{_fmt(s.final_abs_e)},{_fmt(s.max_abs_e_after_touch)},"
-                     f"{_fmt(s.max_dist_overshoot)}\n")
+    _write_csv(out / "summary.csv",
+               ("label", "termination", "t_final", "final_abs_e",
+                "max_abs_e_after_touch", "max_dist_overshoot"),
+               *zip(*((s.label, s.kind.value, s.t_final, s.final_abs_e,
+                       s.max_abs_e_after_touch, s.max_dist_overshoot)
+                      for s in summaries)))
     return summaries
 
 
@@ -132,27 +133,21 @@ def export_field_grid(path, errmap, k_n, region, nx, ny, out_file,
 
     A node is flagged degenerate (regular = 0, NaN direction) when the
     gradient is below the degeneracy threshold or the node lies within half a
-    cell diagonal of a critical point found in the region.
+    cell diagonal of one of the path's critical points.
     """
     if nx < 2 or ny < 2:
         raise ValueError("field grid resolution must be at least 2")
-    crit = analysis.find_critical_points(path, region).points
+    crit = analysis.find_critical_points(path).points
 
     pts = region.grid(nx, ny)
     fs = gvf.field_arrays(path, errmap, k_n, pts, eps=degeneracy_eps)
-    flagged = ~fs["regular"]
-    if len(crit):
-        half_diag = 0.5 * math.hypot(region.width / (nx - 1), region.height / (ny - 1))
-        d2 = np.min(np.sum((pts[:, None, :] - crit) ** 2, axis=-1), axis=1)
-        flagged |= d2 <= half_diag**2
+    half_diag = 0.5 * math.hypot(region.width / (nx - 1), region.height / (ny - 1))
+    flagged = ~fs["regular"] | (analysis.critical_distance(pts, crit) <= half_diag)
     m_d = np.where(flagged[:, None], np.nan, fs["m_d"])
 
-    with open(out_file, "w", encoding="utf-8") as fh:
-        fh.write("x,y,m_d_x,m_d_y,e,regular\n")
-        for i in range(len(pts)):
-            fh.write(f"{_fmt(pts[i, 0])},{_fmt(pts[i, 1])},{_fmt(m_d[i, 0])},"
-                     f"{_fmt(m_d[i, 1])},{_fmt(fs['e'][i])},"
-                     f"{int(not flagged[i])}\n")
+    _write_csv(out_file, ("x", "y", "m_d_x", "m_d_y", "e", "regular"),
+               pts[:, 0], pts[:, 1], m_d[:, 0], m_d[:, 1], fs["e"],
+               (~flagged).astype(int))
     return int(np.sum(flagged))
 
 
@@ -177,11 +172,8 @@ def basin_sweep(scn, out_file):
     poses = np.concatenate(
         [np.column_stack([grid, np.full(len(grid), h)]) for h in headings])
 
-    crit = analysis.find_critical_points(scn.path, PADDED_WORKSPACE).points
-    if len(crit):
-        d = np.min(np.hypot(poses[:, 0, None] - crit[:, 0],
-                            poses[:, 1, None] - crit[:, 1]), axis=1)
-        poses = poses[d > scn.stop.tol_c]
+    crit = analysis.find_critical_points(scn.path).points
+    poses = poses[analysis.critical_distance(poses[:, :2], crit) > scn.stop.tol_c]
 
     res = sim.simulate_gvf_batch(scn.path, scn.errmap, scn.gvf, poses,
                                  dt=scn.dt, t_max=spec.t_max, stop=scn.stop,
@@ -189,11 +181,8 @@ def basin_sweep(scn, out_file):
     labels = np.array([k.value for k in res.kind])
     fractions = {k: float(np.mean(labels == k)) for k in sorted(set(labels))}
 
-    with open(out_file, "w", encoding="utf-8") as fh:
-        fh.write("x,y,alpha,label,t_final\n")
-        for i in range(len(poses)):
-            fh.write(f"{_fmt(poses[i, 0])},{_fmt(poses[i, 1])},"
-                     f"{_fmt(poses[i, 2])},{labels[i]},{_fmt(res.t_final[i])}\n")
+    _write_csv(out_file, ("x", "y", "alpha", "label", "t_final"),
+               poses[:, 0], poses[:, 1], poses[:, 2], labels, res.t_final)
     return BasinReport(total=len(poses), fractions=fractions, labels=labels,
                        poses=poses, t_final=res.t_final)
 
@@ -232,7 +221,7 @@ def compare_controllers(scn, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     label, pose = scn.poses[0]
-    crit = analysis.find_critical_points(scn.path, PADDED_WORKSPACE).points
+    crit = analysis.find_critical_points(scn.path).points
 
     rows = []
     for name in scn.compare.controllers:
@@ -249,12 +238,11 @@ def compare_controllers(scn, out_dir):
                                max_overshoot=over, settling_time=settle,
                                steady_mean_dist=steady))
 
-    with open(out / "comparison.csv", "w", encoding="utf-8") as fh:
-        fh.write("controller,termination,max_overshoot,settling_time,"
-                 "steady_mean_dist\n")
-        for r in rows:
-            fh.write(f"{r.controller},{r.kind.value},{_fmt(r.max_overshoot)},"
-                     f"{_fmt(r.settling_time)},{_fmt(r.steady_mean_dist)}\n")
+    _write_csv(out / "comparison.csv",
+               ("controller", "termination", "max_overshoot", "settling_time",
+                "steady_mean_dist"),
+               *zip(*((r.controller, r.kind.value, r.max_overshoot,
+                       r.settling_time, r.steady_mean_dist) for r in rows)))
     return rows
 
 

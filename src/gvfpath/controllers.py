@@ -8,7 +8,9 @@ need a parametric form of the path (they are defined for the built-ins only):
   omega = c(P) u_r - k_los * wrap(alpha - alpha_los).
 * NGL steers at the bearing of the intersection of the robot-centered circle
   of radius R with the path that lies ahead in the traversal direction:
-  omega = -k_r * wrap(alpha - alpha_r).
+  omega = -k_r * wrap(alpha - alpha_r).  "Ahead" is measured in s from the
+  robot's nearest boundary sample, not from a projection, so NGL never
+  raises AmbiguousProjectionError; only LOS projects.
 
 Angle differences are wrapped to (-pi, pi] before multiplying by gains.
 Curvature is signed for the chosen traversal direction (negative when the
@@ -224,8 +226,10 @@ def ngl_sample(path, params, pose):
             f"circle of radius {params.radius} around ({pose.x}, {pose.y}) "
             "does not intersect the path"
         )
-    proj = project_to_path(path, center, params.direction)
-    ahead = hit_s - proj.s if params.direction is Direction.FORWARD else proj.s - hit_s
+    # A crossing can switch sides against the exact foot point only if it lies
+    # within one sample of it, that is, with the robot about `radius` off the path.
+    ref = path.nearest_boundary(center)[1] / BOUNDARY_SAMPLES
+    ahead = hit_s - ref if params.direction is Direction.FORWARD else ref - hit_s
     if path.closed:
         ahead %= 1.0
     if not np.any(ahead > 0.0):

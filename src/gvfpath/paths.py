@@ -30,7 +30,7 @@ BOUNDARY_SAMPLES = 4096
 COARSE_STRIDE = 32
 NEWTON_ITERS = 4
 # Raster resolution used to locate the zero contour of paths that have no
-# parametric form; the resulting distances are accurate to about one cell.
+# parametric form; distance queries refine the nearest contour point.
 CONTOUR_GRID = 512
 # Point-sample pairs per block of a contour distance query.
 CONTOUR_BLOCK = 1 << 18
@@ -173,12 +173,10 @@ class ImplicitPath:
         s = (k + span * t) / n
         return s % 1.0 if self.closed else np.clip(s, 0.0, 1.0)
 
-    def _foot_points(self, p, q0):
-        """(q, s, |p - q|) for the foot points q of p that Newton reaches from
-        q0 (m, 2) under (q - p) x grad phi(q) = 0; on open paths a foot point
-        past the chord's end becomes that end.
-        """
-        px, py = p
+    def _foot_side(self, p):
+        """The foot-point condition (q - p) x grad phi(q) = 0 as a side for
+        _newton_on_curve; p is one point (2,) or one per row of q (m, 2)."""
+        px, py = p[..., 0], p[..., 1]
 
         def side(q, g):
             h = self.hess(q)
@@ -188,7 +186,15 @@ class ImplicitPath:
                     gy + dx * h[:, 1, 0] - dy * h[:, 0, 0],
                     dx * h[:, 1, 1] - gx - dy * h[:, 0, 1])
 
-        q = self._newton_on_curve(q0, side)
+        return side
+
+    def _foot_points(self, p, q0):
+        """(q, s, |p - q|) for the foot points q of p that Newton reaches from
+        q0 (m, 2) under the foot-point condition; on open paths a foot point
+        past the chord's end becomes that end.
+        """
+        px, py = p
+        q = self._newton_on_curve(q0, self._foot_side(p))
         s = self._curve_s(q)
         if not self.closed:
             end = (s == 0.0) | (s == 1.0)
@@ -197,33 +203,36 @@ class ImplicitPath:
         return q, s, np.hypot(q[:, 0] - px, q[:, 1] - py)
 
     def distance_many(self, pts):
-        """Distances from many points, at boundary-sampling resolution.
+        """Distances from many points.
 
         Parametric paths answer with the nearest of the 4096 boundary samples
-        (error at most about half a sample spacing); other paths fall back to
-        the rasterized contour.  Loop-friendly: no per-point refinement.
+        (error at most about half a sample spacing), with no per-point
+        refinement.  Other paths take the nearest point of the rasterized
+        zero contour and refine it to the foot point by Newton, so their
+        distances are exact to rounding.
         """
         pts = _pts(pts)
         if self.has_parametric:
             return self.nearest_boundary(pts)[0]
         contour = self._contour_pts
         cx, cy = np.ascontiguousarray(contour.T)
-        out = np.empty(pts.shape[:-1])
         flat = pts.reshape(-1, 2)
-        res = out.reshape(-1)
+        near = np.empty(len(flat), dtype=int)
         chunk = max(1, CONTOUR_BLOCK // max(len(contour), 1))
         for i in range(0, len(flat), chunk):
             block = flat[i:i + chunk]
             d2 = _sq_dist(block[:, 0, None], block[:, 1, None], cx, cy)
-            res[i:i + chunk] = np.sqrt(d2.min(axis=1))
-        return out
+            near[i:i + chunk] = d2.argmin(axis=1)
+        q = self._newton_on_curve(contour[near], self._foot_side(flat))
+        d = np.hypot(q[:, 0] - flat[:, 0], q[:, 1] - flat[:, 1])
+        return d.reshape(pts.shape[:-1])
 
     def distance(self, point):
         """Euclidean distance from one point to the path.
 
         Parametric paths: the distance to the foot point found by Newton
-        from the nearest boundary sample.  Otherwise the rasterized zero
-        contour is used, accurate to roughly one raster cell.
+        from the nearest boundary sample.  Otherwise distance_many, which
+        starts Newton from the nearest point of the rasterized zero contour.
         """
         p = _pts(point)
         if self.has_parametric:
@@ -490,7 +499,7 @@ class PolynomialPath(ImplicitPath):
 
     Gradient and Hessian coefficient tables are built once at construction by
     term-wise differentiation, so all derivatives are exact.  No parametric
-    form; distance queries fall back to the rasterized zero contour.
+    form; distance queries start from the rasterized zero contour.
     """
 
     terms: Terms

@@ -20,7 +20,9 @@ records the rows, then ends every row whose event fires, with the precedence
     infeasible > critical set > left domain > converged > timeout
 
 where the critical event also covers the command's singular rows (a
-vanishing gradient).  Ended rows are dropped before the advance, so a
+vanishing gradient).  The critical set is analysis.find_critical_points(path)
+unless the caller passes one, and the domain is the path's working region,
+path.region.  Ended rows are dropped before the advance, so a
 non-regular row is never stepped.  All of a scenario's initial poses run as
 one batch, each run's rows recorded into one shared buffer; `simulate` is
 that batch with one pose, and its Trajectory is bit-identical to the same
@@ -30,10 +32,11 @@ Every dynamical outcome is an event, not an exception: runs end with
 GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or
 Timeout.  Convergence requires |e| < tol_e and the distance to the path
 below tol_d sustained for a dwell window (with t_dwell = 0, the first step
-inside both tolerances).  Distances used inside the loop come from the
-4096-sample boundary cache (resolution about half a sample spacing); use
-`path.distance` for refined point queries.  Non-finite starts are invalid
-input and raise ValueError.
+inside both tolerances).  Distances used inside the loop come from
+`path.distance_many`: the nearest of 4096 boundary samples on parametric
+paths (resolution about half a sample spacing; use `path.distance` for
+refined point queries), the exact foot point on polynomials.  Non-finite
+starts are invalid input and raise ValueError.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from . import analysis
 from . import controllers as ctl
 from . import field as gvf
 from .paths import PathError
-from .util import PADDED_WORKSPACE, require_positive, wrap_angle
+from .util import require_positive, wrap_angle
 
 _TINY = 1e-300
 
@@ -159,7 +162,7 @@ def _rk4_step(x, y, alpha, u_r, omega, dt):
     return x1, y1, a_end
 
 
-def _run(command, path, state, dt, t_max, stop, domain, critical_points,
+def _run(command, path, state, dt, t_max, stop, critical_points,
          record=None, record_dist=False):
     """The batched time-step loop and its termination ledger.
 
@@ -184,9 +187,8 @@ def _run(command, path, state, dt, t_max, stop, domain, critical_points,
     fin_d = np.zeros(n_runs)
     if n_runs == 0:
         return code, t_fin, fin, fin_e, fin_d
-    crit = (np.asarray(critical_points, dtype=float).reshape(-1, 2)
-            if critical_points is not None
-            else analysis.find_critical_points(path, region=domain).points)
+    crit = (analysis.find_critical_points(path).points
+            if critical_points is None else critical_points)
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
@@ -206,12 +208,9 @@ def _run(command, path, state, dt, t_max, stop, domain, critical_points,
         if record is not None:
             record(t, ids, {**diag, "e": e, "dist": dist})
 
-        critical = singular
-        if len(crit):
-            d2c = np.min((state[:, 0, None] - crit[:, 0]) ** 2
-                         + (state[:, 1, None] - crit[:, 1]) ** 2, axis=1)
-            critical = critical | (d2c < stop.tol_c**2)
-        left = ~domain.contains(state)
+        critical = singular | (analysis.critical_distance(state[:, :2], crit)
+                               < stop.tol_c)
+        left = ~path.region.contains(state)
         dwell = np.where(near & (dist < stop.tol_d), dwell + dt, 0.0)
         converged = dwell >= t_conv
         last = step == n_steps
@@ -310,8 +309,7 @@ class BatchResult:
 
 
 def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
-                       stop=StopPolicy(), domain=PADDED_WORKSPACE,
-                       critical_points=None, record=None):
+                       stop=StopPolicy(), critical_points=None, record=None):
     """Integrate the guiding-field closed loop for a batch of initial poses.
 
     poses0: array (B, 3) of (x, y, alpha).  `record`, if given, is called once
@@ -323,7 +321,7 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
     poses0 = np.asarray(poses0, dtype=float).reshape(-1, 3)
     command = _unicycle_command(_gvf_steer(path, errmap, params), params.u_r, dt)
     code, t_final, fin, e, dist = _run(command, path, poses0, dt, t_max, stop,
-                                       domain, critical_points, record,
+                                       critical_points, record,
                                        record_dist=record is not None)
     return BatchResult(kind=_KINDS[code], t_final=t_final, x=fin[:, 0],
                        y=fin[:, 1], alpha=fin[:, 2], e=e, dist=dist)
@@ -369,7 +367,7 @@ class _RowRecorder:
 
 
 def _simulate_runs(path, errmap, controller, poses, dt, t_max, stop=StopPolicy(),
-                   u_r=None, domain=PADDED_WORKSPACE, critical_points=None):
+                   u_r=None, critical_points=None):
     """Integrate the closed loop from each Pose in one batch; one Trajectory
     per pose, each equal to that pose's run on its own.
 
@@ -392,8 +390,7 @@ def _simulate_runs(path, errmap, controller, poses, dt, t_max, stop=StopPolicy()
     state = np.array([[p.x, p.y, p.alpha] for p in poses]).reshape(-1, 3)
     rec = _RowRecorder(len(state))
     code, t_final, *_ = _run(_unicycle_command(steer, u_r, dt), path, state, dt,
-                             t_max, stop, domain, critical_points, rec,
-                             record_dist=True)
+                             t_max, stop, critical_points, rec, record_dist=True)
     details = {
         TerminationKind.CONVERGED: "|e| and path distance within tolerance "
                                    f"for {stop.t_dwell} s",
@@ -411,7 +408,7 @@ def _simulate_runs(path, errmap, controller, poses, dt, t_max, stop=StopPolicy()
 
 
 def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
-             u_r=None, domain=PADDED_WORKSPACE, critical_points=None):
+             u_r=None, critical_points=None):
     """Integrate one closed-loop run and return its Trajectory.
 
     controller is GvfParams (u_r taken from it) or LosParams / NglParams
@@ -420,7 +417,7 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
     the integrated heading, not wrapped.
     """
     return _simulate_runs(path, errmap, controller, [pose0], dt, t_max, stop,
-                          u_r, domain, critical_points)[0]
+                          u_r, critical_points)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +456,7 @@ def _trace_command(path, errmap, k_n, mode, u_r, dt):
 
 
 def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
-                stop=StopPolicy(), domain=PADDED_WORKSPACE,
-                critical_points=None, record=None):
+                stop=StopPolicy(), critical_points=None, record=None):
     """Trace integral curves of the raw field (xi' = v) or the normalized
     field (r' = u_r m_d) from a batch of starts; returns (labels, t_final)
     per run.
@@ -471,6 +467,5 @@ def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
     rec = None if record is None else (
         lambda t, ids, data: record(t, ids, data["pts"], data["e"]))
     code, t_final, *_ = _run(_trace_command(path, errmap, k_n, mode, u_r, dt),
-                             path, starts, dt, t_max, stop, domain,
-                             critical_points, rec)
+                             path, starts, dt, t_max, stop, critical_points, rec)
     return _LABELS[code], t_final

@@ -16,7 +16,7 @@ from gvfpath import (
     in_invariant_set,
     viability_check,
 )
-from gvfpath.analysis import sample_invariant_set
+from gvfpath.analysis import critical_distance, sample_invariant_set
 from gvfpath.field import compose_heading, guiding_field
 
 
@@ -109,6 +109,11 @@ def test_critical_error_threshold_values(ellipse, cassini, line_y0, identity):
     e_c = critical_error_threshold(cassini, identity, found.locations)
     assert e_c == pytest.approx(0.375921, abs=1e-9)  # k_s * (p^4 - q^4)
     assert critical_error_threshold(line_y0, identity, []) == math.inf
+
+
+def test_critical_distance_to_empty_set_is_inf():
+    d = critical_distance(np.zeros((3, 2)), np.empty((0, 2)))
+    assert d.shape == (3,) and np.all(d == math.inf)
 
 
 def test_invariant_set_spec_band(ellipse, identity):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvfpath import (
+    LinePath,
     LosParams,
     NglParams,
+    PolynomialPath,
     Pose,
     StopPolicy,
     TerminationKind,
@@ -199,28 +201,54 @@ def test_baseline_on_path_circulation_stays_close(ellipse, identity):
 
 
 def test_simulate_left_domain_event(ellipse, identity, exp_params):
-    # One pixel below the top edge, aimed straight out: the robot exits the
-    # (unpadded) region before the heading transient can turn it around.
-    from gvfpath.util import WORKSPACE
-
-    traj = simulate(ellipse, identity, exp_params, Pose(640.0, 719.0, math.pi / 2),
-                    dt=0.005, t_max=30.0, domain=WORKSPACE)
+    # One pixel below the top edge of the path's region (the padded
+    # workspace), aimed straight out: the robot exits it before the heading
+    # transient can turn it around.
+    traj = simulate(ellipse, identity, exp_params, Pose(640.0, 1079.0, math.pi / 2),
+                    dt=0.005, t_max=30.0)
     assert traj.termination.kind is TerminationKind.LEFT_DOMAIN
-    assert traj.y[-1] > 720.0
+    assert traj.y[-1] > 1080.0
 
 
 def test_batch_kinds_sort_by_value(ellipse, identity, exp_params):
     # One run per event: a far start times out, the center is critical, a
-    # start aimed out of the unpadded region leaves it, and an aligned
+    # start aimed out of the path's region leaves it, and an aligned
     # on-path start converges at once with a one-step dwell.
     poses = np.array([[472.0, 311.0, 0.0768], [600.0, 350.0, 0.0],
-                      [640.0, 719.0, math.pi / 2], [1000.0, 350.0, -math.pi / 2]])
+                      [640.0, 1079.0, math.pi / 2], [1000.0, 350.0, -math.pi / 2]])
     res = simulate_gvf_batch(ellipse, identity, exp_params, poses, dt=0.005,
-                             t_max=1.0, stop=StopPolicy(t_dwell=0.005),
-                             domain=WORKSPACE)
+                             t_max=1.0, stop=StopPolicy(t_dwell=0.005))
     assert np.unique(res.kind).tolist() == [
         TerminationKind.CONVERGED, TerminationKind.LEFT_DOMAIN,
         TerminationKind.CRITICAL, TerminationKind.TIMEOUT]
+
+
+@pytest.mark.parametrize("y0", [900.0, 719.0])
+def test_line_region_bounds_the_run(identity, exp_params, y0):
+    # The line's own region is the run's working region: a start 180 Px
+    # outside it ends at once, and a start 1 Px inside it, aimed straight
+    # out, leaves it through the top edge.
+    line = LinePath(0.0, 1.0, -360.0, region=WORKSPACE)
+    traj = simulate(line, identity, exp_params, Pose(640.0, y0, math.pi / 2),
+                    dt=0.005, t_max=5.0)
+    assert traj.termination.kind is TerminationKind.LEFT_DOMAIN
+    assert traj.y[-1] > 720.0
+    if y0 > 720.0:
+        assert traj.termination.t_final == 0.0
+
+
+def test_polynomial_ellipse_converges_like_the_ellipse(ellipse, identity,
+                                                        exp_params):
+    # The bundled ellipse written out as a polynomial has exact distances,
+    # so its run passes the dwell test like the ellipse's own.
+    poly = PolynomialPath(terms=((2, 0, 1e-5), (1, 0, -0.012), (0, 2, 4e-5),
+                                 (0, 1, -0.028), (0, 0, 6.9)))
+    pose = Pose(980.0, 350.0, -1.4)
+    ref, got = (simulate(p, identity, exp_params, pose, dt=0.005, t_max=20.0)
+                for p in (ellipse, poly))
+    assert got.termination.kind is TerminationKind.CONVERGED
+    assert got.termination.t_final == pytest.approx(ref.termination.t_final,
+                                                    abs=0.05)
 
 
 def test_zero_dwell_stops_at_first_step_inside_tolerances(ellipse, identity,

@@ -13,28 +13,18 @@ from .analysis import (
     classify_critical_point,
     critical_error_threshold,
     find_critical_points,
-    in_invariant_set,
     viability_check,
 )
 from .controllers import (
     AmbiguousProjectionError,
-    ControlSample,
     Direction,
     GuidanceInfeasibleError,
     LosParams,
     NglParams,
     Projection,
-    gvf_control,
     project_to_path,
 )
-from .field import (
-    DegeneracyError,
-    GvfParams,
-    GvfSample,
-    guiding_field,
-    heading_error,
-    rotation_rate,
-)
+from .field import GvfParams, heading_error
 from .paths import (
     ERROR_MAPS,
     PATH_KINDS,

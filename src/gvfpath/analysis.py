@@ -177,15 +177,6 @@ def critical_error_threshold(path, errmap, critical_points):
     return float(np.min(np.abs(errmap.psi(path.phi(pts))), initial=math.inf))
 
 
-def in_invariant_set(path, errmap, k_n, e_c, pose):
-    """Strict membership test for M (regular, |delta| and |e| inside bounds)."""
-    fs = gvf.field_arrays(path, errmap, k_n, pose.xy)
-    if not (fs["regular"] and abs(fs["e"]) < e_c):
-        return False
-    delta = gvf.heading_error(fs["m_d"], pose.alpha)
-    return abs(delta) < math.atan(k_n * e_c)
-
-
 @dataclass
 class ViabilityReport:
     d0_lower_bound: float
@@ -219,16 +210,16 @@ def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None):
         raise ValueError(f"|e(pose0)| = {abs(e0):.6g} must be below e_c = {e_c:.6g}")
 
     if lipschitz_c is not None:
-        if lipschitz_c <= 0.0:
+        if not lipschitz_c > 0.0:
             raise ValueError("lipschitz_c must be positive")
         d0 = (e_c - abs(e0)) / lipschitz_c
     else:
         d0 = _raster_viability_distance(path, errmap, p0, e_c)
 
-    fs = gvf.field_arrays(path, errmap, params.k_n, p0, eps=params.degeneracy_eps)
-    if not bool(fs["regular"]):
+    st = gvf.steering_arrays(path, errmap, params, pose0.x, pose0.y, pose0.alpha)
+    if not bool(st["regular"]):
         raise ValueError("pose0 sits at a degenerate point")
-    delta0 = gvf.heading_error(fs["m_d"], pose0.alpha)
+    delta0 = float(st["delta"])
     band = math.atan(params.k_n * e_c)
     ratio = abs(delta0) / band
     rhs1 = (params.u_r / params.k_delta) * math.log(ratio) if ratio > 1.0 else 0.0
@@ -267,8 +258,13 @@ def sample_invariant_set(path, errmap, k_n, e_c, n, rng):
 
     Positions are drawn uniformly over the path's working region subject to
     |e| < 0.98 e_c and regularity; headings are composed from a heading
-    error drawn uniformly in (-0.98 band, 0.98 band).
+    error drawn uniformly in (-0.98 band, 0.98 band).  e_c = inf (no
+    critical points) is valid.
     """
+    if not e_c > 0.0:
+        raise ValueError(f"e_c must be positive, got {e_c!r}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n!r}")
     band = math.atan(k_n * e_c)
     out = np.empty((0, 3))
     while len(out) < n:

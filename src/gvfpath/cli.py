@@ -41,14 +41,22 @@ from .scenario import ConfigError, _fmt, bundled_scenario, load_scenario
 from .util import PADDED_WORKSPACE, wrap_angle
 
 CSV_COLUMNS = ("t", "x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist_path")
+CSV_BLOCK_ROWS = 1024
 
 
 def _write_csv(out_file, header, *columns):
-    """Header, then one row per index of the columns: str of each .tolist() value."""
+    """Header, then one row per index of the columns: str of each .tolist() value.
+
+    Rows are converted and written in blocks, so only one block at a time
+    exists as Python objects.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = min(map(len, columns), default=0)
     with open(out_file, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
-            fh.write(",".join(map(str, row)) + "\n")
+        for i in range(0, n, CSV_BLOCK_ROWS):
+            block = (c[i:i + CSV_BLOCK_ROWS].tolist() for c in columns)
+            fh.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
 
 
 def write_trajectory_csv(out_file, traj):

@@ -1,7 +1,8 @@
-"""Steering laws: the guiding-field controller and the LOS / NGL baselines.
+"""Path projection and the LOS / NGL baseline steering laws.
 
-The guiding-field law is omega = omega_d - k_delta * delta.  The baselines
-need a parametric form of the path (they are defined for the built-ins only):
+The guiding-field law omega = omega_d - k_delta * delta lives in
+`field.steering_arrays`.  The baselines need a parametric form of the path
+(they are defined for the built-ins only):
 
 * LOS steers at the bearing of the point a lookahead distance ahead along the
   tangent at the projection, with curvature feedforward:
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import field as gvf
 from .paths import BOUNDARY_SAMPLES
 from .util import require_positive, wrap_angle
 
@@ -64,17 +64,6 @@ class NglParams:
 
 
 @dataclass
-class ControlSample:
-    """Per-step guiding-field controller diagnostics."""
-
-    omega: float
-    delta: float
-    omega_d: float
-    e: float
-    regular: bool
-
-
-@dataclass
 class Projection:
     """Closest point on the path with traversal-signed curvature and tangent."""
 
@@ -83,23 +72,6 @@ class Projection:
     distance: float
     curvature: float
     tangent: np.ndarray
-
-
-def gvf_control(path, errmap, params, pose):
-    """Turn-rate command omega = omega_d - k_delta * delta at the pose.
-
-    At degenerate points regular is False, omega is 0 and delta/omega_d are
-    NaN; the simulator ends such a run in the critical set before stepping it.
-    """
-    out = gvf.steering_arrays(path, errmap, params, pose.x, pose.y, pose.alpha)
-    regular = bool(out["regular"])
-    return ControlSample(
-        omega=float(out["omega"]),
-        delta=float(out["delta"]) if regular else math.nan,
-        omega_d=float(out["omega_d"]) if regular else math.nan,
-        e=float(out["e"]),
-        regular=regular,
-    )
 
 
 PROJECTION_SEEDS = 1024

@@ -15,8 +15,8 @@ which satisfies md_dot = -omega_d E m_d; with analytic Hessians the chain is
 exact, and the tests check it against finite differences of the bearing.
 
 All public functions are pure; `field_arrays` / `steering_arrays` are the
-vectorized kernels shared by the scalar API and the batched simulator, so a
-single code path produces every number.
+vectorized kernels behind every field and steering value, so a single code
+path produces every number.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from .util import require_positive, wrap_angle
 DEGENERACY_EPS = 1e-9
 
 
-class DegeneracyError(RuntimeError):
-    """The gradient vanishes at the queried point; the field is undefined."""
-
-
 @dataclass(frozen=True)
 class GvfParams:
     """Gains and speed of the guiding-field steering law."""
@@ -49,18 +45,6 @@ class GvfParams:
     def __post_init__(self):
         require_positive(k_n=self.k_n, k_delta=self.k_delta, u_r=self.u_r,
                          degeneracy_eps=self.degeneracy_eps)
-
-
-@dataclass
-class GvfSample:
-    """All field quantities at one point; m_d is None when degenerate."""
-
-    e: float
-    n: np.ndarray
-    tau: np.ndarray
-    v: np.ndarray
-    m_d: np.ndarray | None
-    regular: bool
 
 
 def _field_v(path, errmap, k_n, pts):
@@ -157,30 +141,6 @@ def steering_arrays(path, errmap, params, x, y, alpha):
         "omega": omega,
         "regular": regular,
     }
-
-
-def guiding_field(path, errmap, params, point):
-    """Field sample at one point: e, n, tau, v and (if regular) m_d."""
-    fs = field_arrays(path, errmap, params.k_n, point, eps=params.degeneracy_eps)
-    regular = bool(fs["regular"])
-    return GvfSample(
-        e=float(fs["e"]),
-        n=fs["n"],
-        tau=fs["tau"],
-        v=fs["v"],
-        m_d=fs["m_d"] if regular else None,
-        regular=regular,
-    )
-
-
-def rotation_rate(path, errmap, params, pose):
-    """omega_d at a pose; raises DegeneracyError at degenerate points."""
-    out = steering_arrays(
-        path, errmap, params, pose.x, pose.y, pose.alpha
-    )
-    if not bool(out["regular"]):
-        raise DegeneracyError(f"gradient vanishes at ({pose.x}, {pose.y})")
-    return float(out["omega_d"])
 
 
 def heading_error(m_d, alpha):

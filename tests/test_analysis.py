@@ -13,11 +13,10 @@ from gvfpath import (
     classify_critical_point,
     critical_error_threshold,
     find_critical_points,
-    in_invariant_set,
     viability_check,
 )
 from gvfpath.analysis import critical_distance, sample_invariant_set
-from gvfpath.field import compose_heading, guiding_field
+from gvfpath.field import compose_heading, field_arrays, steering_arrays
 
 
 def test_find_critical_points_ellipse(ellipse):
@@ -124,32 +123,40 @@ def test_invariant_set_spec_band(ellipse, identity):
     assert math.atan(3.0 * e_c) == pytest.approx(math.atan(4.8))
 
 
+def _in_invariant_set(path, errmap, params, e_c, x, y, alpha):
+    """Strict membership in M, read off the steering kernel: regular,
+    |e| < e_c and |delta| < arctan(k_n e_c)."""
+    st = steering_arrays(path, errmap, params, x, y, alpha)
+    band = math.atan(params.k_n * e_c)
+    return st["regular"] & (np.abs(st["e"]) < e_c) & (np.abs(st["delta"]) < band)
+
+
 def test_in_invariant_set_examples(ellipse, identity, exp_params):
     # On the path, aligned: inside.
-    g = guiding_field(ellipse, identity, exp_params, (1000.0, 350.0))
-    aligned = Pose(1000.0, 350.0, compose_heading(g.m_d, 0.0))
-    assert in_invariant_set(ellipse, identity, 3.0, 1.6, aligned)
+    m_d = field_arrays(ellipse, identity, 3.0, (1000.0, 350.0))["m_d"]
+    aligned = compose_heading(m_d, 0.0)
+    assert _in_invariant_set(ellipse, identity, exp_params, 1.6, 1000.0, 350.0, aligned)
 
     # |e| equal to e_c: excluded by strictness.
-    probe = Pose(960.0, 350.0, aligned.alpha)
-    e_here = abs(float(identity.psi(ellipse.phi(probe.xy))))
-    assert not in_invariant_set(ellipse, identity, 3.0, e_here, probe)
+    e_here = abs(float(identity.psi(ellipse.phi(np.array([960.0, 350.0])))))
+    assert not _in_invariant_set(ellipse, identity, exp_params, e_here,
+                                 960.0, 350.0, aligned)
 
     # e = 1.0 with delta = 1.3 rad: inside (band is arctan 4.8 ~ 1.3654).
     x = 600.0 + math.sqrt(260000.0)
-    g = guiding_field(ellipse, identity, exp_params, (x, 350.0))
-    tilted = Pose(x, 350.0, compose_heading(g.m_d, 1.3))
-    assert in_invariant_set(ellipse, identity, 3.0, 1.6, tilted)
-    beyond = Pose(x, 350.0, compose_heading(g.m_d, 1.37))
-    assert not in_invariant_set(ellipse, identity, 3.0, 1.6, beyond)
+    m_d = field_arrays(ellipse, identity, 3.0, (x, 350.0))["m_d"]
+    tilted = compose_heading(m_d, 1.3)
+    assert _in_invariant_set(ellipse, identity, exp_params, 1.6, x, 350.0, tilted)
+    beyond = compose_heading(m_d, 1.37)
+    assert not _in_invariant_set(ellipse, identity, exp_params, 1.6, x, 350.0, beyond)
 
     # Degenerate point: never inside.
-    assert not in_invariant_set(ellipse, identity, 3.0, 1.6, Pose(600, 350, 0.0))
+    assert not _in_invariant_set(ellipse, identity, exp_params, 1.6, 600.0, 350.0, 0.0)
 
 
 def test_viability_formula_experiment_parameters(ellipse, identity, exp_params):
-    g = guiding_field(ellipse, identity, exp_params, (1000.0, 350.0))
-    pose = Pose(1000.0, 350.0, compose_heading(g.m_d, 0.0))
+    m_d = field_arrays(ellipse, identity, exp_params.k_n, (1000.0, 350.0))["m_d"]
+    pose = Pose(1000.0, 350.0, compose_heading(m_d, 0.0))
     rep = viability_check(ellipse, identity, pose, 1.6, exp_params)
     assert rep.rhs_viability_2 == pytest.approx(
         25.0 * math.log(math.pi / math.atan(4.8)), abs=1e-12)
@@ -178,12 +185,19 @@ def test_viability_lipschitz_bound_circle(identity):
     r = np.linspace(0.0, 50.0, 200001)
     c = float(np.max(2 * r / (1 + (r**2 - 1) ** 2)))
 
-    g = guiding_field(circle, errmap, params, (1.2, 0.0))
-    pose = Pose(1.2, 0.0, compose_heading(g.m_d, 0.0))
+    m_d = field_arrays(circle, errmap, params.k_n, (1.2, 0.0))["m_d"]
+    pose = Pose(1.2, 0.0, compose_heading(m_d, 0.0))
     e0 = abs(float(errmap.psi(circle.phi(pose.xy))))
     assert e0 < e_c
     rep = viability_check(circle, errmap, pose, e_c, params, lipschitz_c=c)
     assert rep.d0_lower_bound == pytest.approx((e_c - e0) / c, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+def test_viability_rejects_bad_lipschitz(ellipse, identity, exp_params, c):
+    pose = Pose(1000.0, 350.0, -math.pi / 2)
+    with pytest.raises(ValueError, match="lipschitz_c must be positive"):
+        viability_check(ellipse, identity, pose, 1.6, exp_params, lipschitz_c=c)
 
 
 def test_band_monotone_in_gain():
@@ -192,8 +206,21 @@ def test_band_monotone_in_gain():
     assert all(b2 > b1 for b1, b2 in zip(bands, bands[1:]))
 
 
-def test_sampled_poses_lie_in_set(ellipse, identity, rng):
+def test_sampled_poses_lie_in_set(ellipse, identity, exp_params, rng):
     poses = sample_invariant_set(ellipse, identity, 3.0, 1.6, 50, rng)
     assert len(poses) == 50
-    for x, y, alpha in poses:
-        assert in_invariant_set(ellipse, identity, 3.0, 1.6, Pose(x, y, alpha))
+    assert np.all(_in_invariant_set(ellipse, identity, exp_params, 1.6, *poses.T))
+
+
+@pytest.mark.parametrize("e_c, n, name", [(0.0, 5, "e_c"), (math.nan, 5, "e_c"),
+                                          (-1.0, 5, "e_c"), (1.6, -3, "n")])
+def test_sample_invariant_set_rejects_bad_arguments(ellipse, identity, rng,
+                                                    e_c, n, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        sample_invariant_set(ellipse, identity, 3.0, e_c, n, rng)
+
+
+def test_sample_invariant_set_accepts_empty_critical_set(ellipse, identity, rng):
+    # e_c = inf is the threshold of a path without critical points.
+    poses = sample_invariant_set(ellipse, identity, 3.0, math.inf, 5, rng)
+    assert poses.shape == (5, 3)

@@ -15,11 +15,10 @@ from gvfpath import (
     LosParams,
     NglParams,
     Pose,
-    gvf_control,
     project_to_path,
 )
 from gvfpath.controllers import _circle_intersections, los_sample, ngl_sample
-from gvfpath.field import compose_heading, guiding_field
+from gvfpath.field import compose_heading, field_arrays, steering_arrays
 from gvfpath.paths import BOUNDARY_SAMPLES
 from gvfpath.util import PADDED_WORKSPACE
 
@@ -37,40 +36,44 @@ def test_gvf_control_law_identity(ellipse, identity, exp_params, rng):
         x = rng.uniform(0, 1280)
         y = rng.uniform(0, 720)
         alpha = rng.uniform(-math.pi, math.pi)
-        s = gvf_control(ellipse, identity, exp_params, Pose(x, y, alpha))
-        if s.regular:
-            assert s.omega == s.omega_d - exp_params.k_delta * s.delta
+        s = steering_arrays(ellipse, identity, exp_params, x, y, alpha)
+        if s["regular"]:
+            assert s["omega"] == s["omega_d"] - exp_params.k_delta * s["delta"]
 
 
 def test_gvf_control_aligned_follows_field(ellipse, identity, exp_params):
-    g = guiding_field(ellipse, identity, exp_params, (1000.0, 350.0))
-    alpha = compose_heading(g.m_d, 0.0)
-    s = gvf_control(ellipse, identity, exp_params, Pose(1000.0, 350.0, alpha))
-    assert s.delta == pytest.approx(0.0, abs=1e-12)
-    assert s.omega == pytest.approx(s.omega_d, abs=1e-12)
+    m_d = field_arrays(ellipse, identity, exp_params.k_n, (1000.0, 350.0))["m_d"]
+    alpha = compose_heading(m_d, 0.0)
+    s = steering_arrays(ellipse, identity, exp_params, 1000.0, 350.0, alpha)
+    assert s["delta"] == pytest.approx(0.0, abs=1e-12)
+    assert s["omega"] == pytest.approx(s["omega_d"], abs=1e-12)
 
 
 def test_gvf_control_quarter_turn_penalty(line_y0, identity):
     # delta = pi/2 contributes exactly -k_delta * pi/2 = -pi to the command.
     params = GvfParams(k_n=1.0, k_delta=2.0, u_r=1.0)
-    s = gvf_control(line_y0, identity, params, Pose(0.0, 0.0, math.pi / 2))
-    assert s.delta == pytest.approx(math.pi / 2)
-    assert s.omega - s.omega_d == pytest.approx(-math.pi)
+    s = steering_arrays(line_y0, identity, params, 0.0, 0.0, math.pi / 2)
+    assert s["delta"] == pytest.approx(math.pi / 2)
+    assert s["omega"] - s["omega_d"] == pytest.approx(-math.pi)
 
 
 def test_gvf_control_straight_line_invariant(line_y0, identity):
     params = GvfParams(k_n=1.0, k_delta=2.0, u_r=1.0)
-    s = gvf_control(line_y0, identity, params, Pose(0.0, 0.0, 0.0))
-    assert s.e == 0.0
-    assert s.delta == 0.0
-    assert s.omega == 0.0
+    s = steering_arrays(line_y0, identity, params, 0.0, 0.0, 0.0)
+    assert s["e"] == 0.0
+    assert s["delta"] == 0.0
+    assert s["omega"] == 0.0
 
 
 def test_gvf_control_degenerate_flag(ellipse, identity, exp_params):
-    s = gvf_control(ellipse, identity, exp_params, Pose(600.0, 350.0, 1.0))
-    assert not s.regular
-    assert s.omega == 0.0
-    assert math.isnan(s.delta)
+    # The ellipse centre is a critical point: the kernel flags it, commands no
+    # turn and leaves delta and omega_d undefined, whatever the heading.
+    for alpha in (1.0, 0.2):
+        s = steering_arrays(ellipse, identity, exp_params, 600.0, 350.0, alpha)
+        assert not s["regular"]
+        assert s["omega"] == 0.0
+        assert math.isnan(s["delta"])
+        assert math.isnan(s["omega_d"])
 
 
 def test_project_to_semiaxis_end(ellipse):

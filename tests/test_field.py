@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvfpath import (
-    CirclePath,
-    DegeneracyError,
-    GvfParams,
-    Pose,
-    gvf_control,
-    guiding_field,
-    heading_error,
-    rotation_rate,
-    wrap_angle,
-)
+from gvfpath import CirclePath, GvfParams, heading_error, wrap_angle
 from gvfpath.field import compose_heading, field_arrays, steering_arrays
 from gvfpath.util import PADDED_WORKSPACE, WORKSPACE
 
@@ -28,29 +18,28 @@ def test_gvf_params_validation():
 
 
 def test_guiding_field_rightmost_ellipse(ellipse, identity, exp_params):
-    g = guiding_field(ellipse, identity, exp_params, (1000.0, 350.0))
-    assert g.regular
-    assert g.e == 0.0
-    assert g.n == pytest.approx([0.008, 0.0])
-    assert g.tau == pytest.approx([0.0, -0.008])
-    assert g.v == pytest.approx([0.0, -0.008])
-    assert g.m_d == pytest.approx([0.0, -1.0])
+    g = field_arrays(ellipse, identity, exp_params.k_n, (1000.0, 350.0))
+    assert g["regular"]
+    assert g["e"] == 0.0
+    assert g["n"] == pytest.approx([0.008, 0.0])
+    assert g["tau"] == pytest.approx([0.0, -0.008])
+    assert g["v"] == pytest.approx([0.0, -0.008])
+    assert g["m_d"] == pytest.approx([0.0, -1.0])
 
 
 def test_guiding_field_unit_circle(unit_circle, identity):
-    params = GvfParams(k_n=1.0, k_delta=1.0, u_r=1.0)
-    g = guiding_field(unit_circle, identity, params, (2.0, 0.0))
-    assert g.e == 3.0
-    assert g.n == pytest.approx([4.0, 0.0])
-    assert g.tau == pytest.approx([0.0, -4.0])
-    assert g.v == pytest.approx([-12.0, -4.0])
-    assert np.dot(g.v, g.v) == pytest.approx((1 + 1 * 9) * 16, rel=1e-12)
+    g = field_arrays(unit_circle, identity, 1.0, (2.0, 0.0))
+    assert g["e"] == 3.0
+    assert g["n"] == pytest.approx([4.0, 0.0])
+    assert g["tau"] == pytest.approx([0.0, -4.0])
+    assert g["v"] == pytest.approx([-12.0, -4.0])
+    assert np.dot(g["v"], g["v"]) == pytest.approx((1 + 1 * 9) * 16, rel=1e-12)
 
 
 def test_guiding_field_degenerate_center(ellipse, identity, exp_params):
-    g = guiding_field(ellipse, identity, exp_params, (600.0, 350.0))
-    assert not g.regular
-    assert g.m_d is None
+    g = field_arrays(ellipse, identity, exp_params.k_n, (600.0, 350.0))
+    assert not g["regular"]
+    assert np.all(np.isnan(g["m_d"]))
 
 
 def test_field_identities_random_points(ellipse, cassini, identity, rng):
@@ -83,19 +72,17 @@ def test_on_path_field_is_tangent(ellipse, cassini, identity):
 def test_rotation_rate_straight_line(line_y0, identity):
     params = GvfParams(k_n=1.0, k_delta=1.0, u_r=7.0)
     # On the path and aligned with the field: constant field, omega_d = 0.
-    assert rotation_rate(line_y0, identity, params, Pose(3.0, 0.0, 0.0)) == 0.0
+    st_ = steering_arrays(line_y0, identity, params, 3.0, 0.0, 0.0)
+    assert st_["regular"]
+    assert st_["omega_d"] == 0.0
 
 
 def test_rotation_rate_unit_circle_curvature(unit_circle, identity):
     params = GvfParams(k_n=1.0, k_delta=1.0, u_r=1.0)
-    w = rotation_rate(unit_circle, identity, params, Pose(1.0, 0.0, -math.pi / 2))
+    st_ = steering_arrays(unit_circle, identity, params, 1.0, 0.0, -math.pi / 2)
+    assert st_["regular"]
     # Clockwise circulation of the unit circle: bearing rate is exactly -1.
-    assert w == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_rotation_rate_degenerate_raises(ellipse, identity, exp_params):
-    with pytest.raises(DegeneracyError):
-        rotation_rate(ellipse, identity, exp_params, Pose(600.0, 350.0, 0.2))
+    assert st_["omega_d"] == pytest.approx(-1.0, abs=1e-12)
 
 
 def _fd_bearing_rate(path, errmap, params, x, y, alpha, h=1e-6):
@@ -171,17 +158,13 @@ def test_heading_error_matches_steering_bitwise(cassini, identity, exp_params):
     # The scalar heading_error and the steering kernel share one formula, so
     # they return the same float at every regular pose.
     rng = np.random.default_rng(3000)
-    differ, regular = [], 0
-    for (x, y), alpha in zip(WORKSPACE.sample(rng, 3000), rng.uniform(-3.2, 3.2, 3000)):
-        pose = Pose(x, y, alpha)
-        g = guiding_field(cassini, identity, exp_params, pose.xy)
-        if not g.regular:
-            continue
-        regular += 1
-        delta = gvf_control(cassini, identity, exp_params, pose).delta
-        if heading_error(g.m_d, pose.alpha) != delta:
-            differ.append(pose)
-    assert regular > 2900
+    pts = WORKSPACE.sample(rng, 3000)
+    alpha = rng.uniform(-3.2, 3.2, 3000)
+    st_ = steering_arrays(cassini, identity, exp_params, pts[:, 0], pts[:, 1], alpha)
+    regular = np.flatnonzero(st_["regular"])
+    differ = [(*pts[i], alpha[i]) for i in regular
+              if heading_error(st_["m_d"][i], alpha[i]) != st_["delta"][i]]
+    assert len(regular) > 2900
     assert differ == []
 
 

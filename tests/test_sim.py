@@ -21,7 +21,7 @@ from gvfpath import (
     wrap_angle,
 )
 from gvfpath.analysis import find_critical_points, sample_invariant_set
-from gvfpath.field import compose_heading, guiding_field
+from gvfpath.field import compose_heading, field_arrays
 from gvfpath.scenario import bundled_scenario
 from gvfpath.sim import _rk4_step, _simulate_runs
 from gvfpath.util import WORKSPACE
@@ -132,8 +132,8 @@ def test_simulate_experiment_ic_a_converges(ellipse, identity, exp_params):
 
 def test_simulate_on_path_start_is_near_invariant(ellipse, identity, exp_params):
     start = ellipse.point(np.array(0.125))
-    g = guiding_field(ellipse, identity, exp_params, start)
-    pose0 = Pose(start[0], start[1], compose_heading(g.m_d, 0.0))
+    m_d = field_arrays(ellipse, identity, exp_params.k_n, start)["m_d"]
+    pose0 = Pose(start[0], start[1], compose_heading(m_d, 0.0))
     # Dwell longer than one circulation (~38.6 s) to observe a full lap.
     stop = StopPolicy(t_dwell=45.0)
     traj = simulate(ellipse, identity, exp_params, pose0, dt=0.005, t_max=120.0,
@@ -341,8 +341,8 @@ def test_trace_cassini_saddle_neighbor_escapes(cassini, identity):
 
 def test_lyapunov_on_path_trajectory_is_zero(ellipse, identity, exp_params):
     start = ellipse.point(np.array(0.6))
-    g = guiding_field(ellipse, identity, exp_params, start)
-    pose0 = Pose(start[0], start[1], compose_heading(g.m_d, 0.0))
+    m_d = field_arrays(ellipse, identity, exp_params.k_n, start)["m_d"]
+    pose0 = Pose(start[0], start[1], compose_heading(m_d, 0.0))
     traj = simulate(ellipse, identity, exp_params, pose0, dt=0.005, t_max=30.0)
     assert np.max(0.5 * traj.e**2) < 1e-8
 

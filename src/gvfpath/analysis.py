@@ -87,20 +87,17 @@ def find_critical_points(path, region=None):
     pts = region.grid(GRID_N, GRID_N).astype(float)
 
     for _ in range(NEWTON_MAX_ITER):
-        g = path.grad(pts)
-        h = path.hess(pts)
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        ok = np.isfinite(det) & (np.abs(det) > 0.0) & np.isfinite(g).all(axis=1)
+        _, gx, gy, hxx, hxy, hyy = path.jet(pts, 2)
+        det = hxx * hyy - hxy * hxy
+        ok = np.isfinite(det) & (np.abs(det) > 0.0) & np.isfinite(gx) & np.isfinite(gy)
         inv_det = np.where(ok, det, 1.0)
-        dx = (h[:, 1, 1] * g[:, 0] - h[:, 0, 1] * g[:, 1]) / inv_det
-        dy = (-h[:, 1, 0] * g[:, 0] + h[:, 0, 0] * g[:, 1]) / inv_det
-        step = np.stack([dx, dy], axis=-1)
-        step[~ok] = 0.0
-        pts = pts - step
+        dx = (hyy * gx - hxy * gy) / inv_det
+        dy = (-hxy * gx + hxx * gy) / inv_det
+        pts = pts - np.stack([np.where(ok, dx, 0.0), np.where(ok, dy, 0.0)], axis=-1)
 
-    g = path.grad(pts)
+    _, gx, gy = path.jet(pts, 1)
     good = np.isfinite(pts).all(axis=1)
-    good &= np.hypot(g[:, 0], g[:, 1]) < NEWTON_GRAD_TOL
+    good &= np.hypot(gx, gy) < NEWTON_GRAD_TOL
     roots = pts[good]
 
     merged = []
@@ -263,6 +260,8 @@ def sample_invariant_set(path, errmap, k_n, e_c, n, rng):
     """
     if not e_c > 0.0:
         raise ValueError(f"e_c must be positive, got {e_c!r}")
+    if not 0.0 < k_n < math.inf:
+        raise ValueError(f"k_n must be finite and positive, got {k_n!r}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n!r}")
     band = math.atan(k_n * e_c)

@@ -80,17 +80,16 @@ PROJECTION_SEEDS = 1024
 PROJECTION_TIE_TOL = 1e-6
 
 
-def _signed_curvature(path, point):
-    """Curvature of the level set through `point`, signed for forward traversal.
+def _signed_curvature(gx, gy, hxx, hxy, hyy):
+    """Curvature of the level set through a point with gradient (gx, gy) and
+    Hessian entries hxx, hxy, hyy, signed for forward traversal.
 
     For a curve traversed with velocity tau = E grad(phi) the signed
     curvature is -tau^T H tau / |grad|^3 (exact; -1 on the unit circle).
     """
-    g = path.grad(point)
-    h = path.hess(point)
-    tx, ty = g[1], -g[0]
-    num = tx * (h[0, 0] * tx + h[0, 1] * ty) + ty * (h[1, 0] * tx + h[1, 1] * ty)
-    nn = math.hypot(g[0], g[1])
+    tx, ty = gy, -gx
+    num = tx * (hxx * tx + hxy * ty) + ty * (hxy * tx + hyy * ty)
+    nn = math.hypot(gx, gy)
     return -num / nn**3
 
 
@@ -109,11 +108,10 @@ def project_to_path(path, point, direction=Direction.FORWARD):
     seed_pts = path._boundary_pts[:: BOUNDARY_SAMPLES // PROJECTION_SEEDS]
     d_seed = np.hypot(*(seed_pts - p).T)
 
-    if path.closed:
-        left, right = np.roll(d_seed, 1), np.roll(d_seed, -1)
-    else:
-        left, right = np.r_[np.inf, d_seed[:-1]], np.r_[d_seed[1:], np.inf]
-    is_min = (d_seed <= left) & (d_seed <= right)
+    # Each seed's neighbours: wrapped on closed paths, +inf past an open end.
+    ends = (d_seed[-1:], d_seed[:1]) if path.closed else ((math.inf,), (math.inf,))
+    pad = np.concatenate((ends[0], d_seed, ends[1]))
+    is_min = (d_seed <= pad[:-2]) & (d_seed <= pad[2:])
 
     q, s, d = path._foot_points(p, seed_pts[is_min])
     best = np.argmin(d)
@@ -130,10 +128,10 @@ def project_to_path(path, point, direction=Direction.FORWARD):
         )
 
     proj = q[best]
-    g = path.grad(proj)
-    nn = math.hypot(g[0], g[1])
-    tangent = np.array([g[1], -g[0]]) / nn
-    curv = _signed_curvature(path, proj)
+    _, gx, gy, hxx, hxy, hyy = path.jet(proj, 2)
+    nn = math.hypot(gx, gy)
+    tangent = np.array([gy, -gx]) / nn
+    curv = _signed_curvature(gx, gy, hxx, hxy, hyy)
     if direction is Direction.REVERSE:
         tangent = -tangent
         curv = -curv
@@ -174,13 +172,15 @@ def _circle_intersections(path, center, radius):
     """
     pts = path._boundary_pts
     f = np.hypot(*(pts - center).T) - radius
-    fa, fb = (f, np.roll(f, -1)) if path.closed else (f[:-1], f[1:])
+    if path.closed:
+        f = np.concatenate((f, f[:1]))
+    fa, fb = f[:-1], f[1:]
     k = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
     a, b = pts[k], pts[(k + 1) % len(pts)]
     t = fa[k] / (fa[k] - fb[k])
     cx, cy = center
 
-    def side(q, g):
+    def side(q, jet):
         dx, dy = q[:, 0] - cx, q[:, 1] - cy
         return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
 

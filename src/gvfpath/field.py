@@ -47,15 +47,30 @@ class GvfParams:
                          degeneracy_eps=self.degeneracy_eps)
 
 
-def _field_v(path, errmap, k_n, pts):
-    """phi, e, n, tau and the unnormalized field v = tau - k_n e n at pts."""
-    ph = path.phi(pts)
-    n = path.grad(pts)
+def _field_v(path, errmap, k_n, pts, order=1):
+    """path.jet(pts, order), e, n, tau and the unnormalized field
+    v = tau - k_n e n at pts."""
+    jet = path.jet(pts, order)
+    ph, gx, gy = jet[:3]
     e = errmap.psi(ph)
+    n = np.empty(np.shape(ph) + (2,))
+    n[..., 0] = gx
+    n[..., 1] = gy
     tau = np.empty_like(n)
-    tau[..., 0] = n[..., 1]
-    tau[..., 1] = -n[..., 0]
-    return ph, e, n, tau, tau - (k_n * e)[..., None] * n
+    tau[..., 0] = gy
+    tau[..., 1] = -gx
+    return jet, e, n, tau, tau - (k_n * e)[..., None] * n
+
+
+def _direction(n, v, eps):
+    """|n|, the regular mask |n| > eps, |v|, |v| where regular (1 elsewhere)
+    and the guiding direction m_d = v / |v| (NaN rows where not regular)."""
+    n_norm = np.hypot(n[..., 0], n[..., 1])
+    regular = n_norm > eps
+    v_norm = np.hypot(v[..., 0], v[..., 1])
+    safe = np.where(regular, v_norm, 1.0)
+    m_d = np.where(regular[..., None], v / safe[..., None], np.nan)
+    return n_norm, regular, v_norm, safe, m_d
 
 
 def field_arrays(path, errmap, k_n, pts, eps=DEGENERACY_EPS):
@@ -65,17 +80,12 @@ def field_arrays(path, errmap, k_n, pts, eps=DEGENERACY_EPS):
     m_d rows are NaN where the field is degenerate.
     """
     pts = np.asarray(pts, dtype=float)
-    ph, e, n, tau, v = _field_v(path, errmap, k_n, pts)
-    pp = errmap.psi_prime(ph)
-    n_norm = np.hypot(n[..., 0], n[..., 1])
-    regular = n_norm > eps
-    v_norm = np.hypot(v[..., 0], v[..., 1])
-    safe = np.where(regular, v_norm, 1.0)
-    m_d = np.where(regular[..., None], v / safe[..., None], np.nan)
+    (ph, _, _), e, n, tau, v = _field_v(path, errmap, k_n, pts)
+    n_norm, regular, v_norm, _, m_d = _direction(n, v, eps)
     return {
         "phi": ph,
         "e": e,
-        "psi_prime": pp,
+        "psi_prime": errmap.psi_prime(ph),
         "n": n,
         "n_norm": n_norm,
         "tau": tau,
@@ -106,26 +116,27 @@ def steering_arrays(path, errmap, params, x, y, alpha):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    pts = np.stack([x, y], axis=-1)
-    fs = field_arrays(path, errmap, params.k_n, pts, eps=params.degeneracy_eps)
-    e, pp, n = fs["e"], fs["psi_prime"], fs["n"]
-    v, v_norm, m_d, regular = fs["v"], fs["v_norm"], fs["m_d"], fs["regular"]
-    H = path.hess(pts)
+    pts = np.empty(np.broadcast(x, y).shape + (2,))
+    pts[..., 0] = x
+    pts[..., 1] = y
+    (ph, nx, ny, hxx, hxy, hyy), e, n, _, v = _field_v(path, errmap, params.k_n,
+                                                       pts, order=2)
+    n_norm, regular, _, safe, m_d = _direction(n, v, params.degeneracy_eps)
+    pp = errmap.psi_prime(ph)
 
     ca, sa = np.cos(alpha), np.sin(alpha)
-    nx, ny = n[..., 0], n[..., 1]
     e_dot = params.u_r * pp * (nx * ca + ny * sa)
-    hm_x = H[..., 0, 0] * ca + H[..., 0, 1] * sa
-    hm_y = H[..., 1, 0] * ca + H[..., 1, 1] * sa
+    hm_x = hxx * ca + hxy * sa
+    hm_y = hxy * ca + hyy * sa
     ke = params.k_n * e
     vd_x = params.u_r * (hm_y - ke * hm_x) - params.k_n * e_dot * nx
     vd_y = params.u_r * (-hm_x - ke * hm_y) - params.k_n * e_dot * ny
 
-    safe = np.where(regular, v_norm, 1.0)
     vx, vy = v[..., 0], v[..., 1]
     v_dot_vd = vx * vd_x + vy * vd_y
-    mdd_x = vd_x / safe - vx * v_dot_vd / safe**3
-    mdd_y = vd_y / safe - vy * v_dot_vd / safe**3
+    safe3 = safe**3
+    mdd_x = vd_x / safe - vx * v_dot_vd / safe3
+    mdd_y = vd_y / safe - vy * v_dot_vd / safe3
     mdx, mdy = m_d[..., 0], m_d[..., 1]
     omega_d = -(mdd_x * mdy - mdd_y * mdx)
 
@@ -134,7 +145,7 @@ def steering_arrays(path, errmap, params, x, y, alpha):
     omega = np.where(regular, omega, 0.0)
     return {
         "e": e,
-        "n_norm": fs["n_norm"],
+        "n_norm": n_norm,
         "m_d": m_d,
         "delta": delta,
         "omega_d": omega_d,

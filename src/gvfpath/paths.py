@@ -7,6 +7,12 @@ s in [0, 1) -> point on the zero set, traversed in the same direction the
 guiding field circulates (clockwise for the closed built-ins).  Central
 finite differences are provided only as a verification oracle.
 
+Each path class writes its formulas once, in `jet(pts, order)`: phi at
+order 0, plus the gradient (gx, gy) at order 1, plus the Hessian entries
+(hxx, hxy, hyy) at order 2, with shared subexpressions computed once.
+`phi`, `grad` and `hess` are views of it, and callers that need several of
+these quantities make one call at the order they need.
+
 The tracking error is e = psi(phi) for a strictly increasing psi with
 psi(0) = 0; three families are provided (identity, arctan of a signed power,
 and a bounded rational signed power), each with a known finite supremum of
@@ -79,7 +85,8 @@ class ImplicitPath:
     Subclasses are frozen dataclasses; all derived data is cached, so
     instances are immutable and safe to share across threads.  region is the
     working region: a field of the line and polynomial paths, the padded
-    workspace for the others.
+    workspace for the others.  Each subclass writes its formulas once, in
+    jet; phi, grad and hess are views of it.
     """
 
     closed = False
@@ -88,6 +95,36 @@ class ImplicitPath:
     @property
     def has_parametric(self):
         return hasattr(self, "point")
+
+    def jet(self, pts, order):
+        """(phi,) at order 0, (phi, gx, gy) at order 1 and (phi, gx, gy,
+        hxx, hxy, hyy) at order 2, at the points pts (..., 2).
+
+        phi has the shape pts.shape[:-1]; a derivative that is constant over
+        the plane may be a float, which broadcasts against it.
+        """
+        raise NotImplementedError
+
+    def phi(self, pts):
+        return self.jet(pts, 0)[0]
+
+    def grad(self, pts):
+        """The gradient as an array (..., 2)."""
+        ph, gx, gy = self.jet(pts, 1)
+        g = np.empty(np.shape(ph) + (2,))
+        g[..., 0] = gx
+        g[..., 1] = gy
+        return g
+
+    def hess(self, pts):
+        """The Hessian as an array (..., 2, 2)."""
+        ph, _, _, hxx, hxy, hyy = self.jet(pts, 2)
+        h = np.empty(np.shape(ph) + (2, 2))
+        h[..., 0, 0] = hxx
+        h[..., 0, 1] = hxy
+        h[..., 1, 0] = hxy
+        h[..., 1, 1] = hyy
+        return h
 
     # -- distance to the zero set ------------------------------------------
 
@@ -135,18 +172,47 @@ class ImplicitPath:
         j = d2.argmin(axis=-1)
         return np.sqrt(d2.min(axis=-1)), pad[kc * COARSE_STRIDE + j]
 
-    def _newton_on_curve(self, q, side):
-        """NEWTON_ITERS 2x2 Newton steps on phi(q) = 0 and side(q, grad phi) = 0.
+    def within_boundary(self, pts, hint, tol):
+        """Whether nearest_boundary's distance is below tol at the points
+        (m, 2), decided exactly with the help of sample-index hints (m,).
 
-        side returns the residual r and its gradient row (r_x, r_y) for the
-        (m, 2) points q; a row with a singular Jacobian stays put.
+        The witness checks samples hint-1, hint, hint+1 (wrapped on closed
+        paths, clipped on open ones) with nearest_boundary's arithmetic: if
+        one lies below tol, so does the nearest sample, which is what
+        nearest_boundary finds unless another stretch of the path passes
+        within about a coarse cell of the point.  Rows without such a
+        witness run the full search.  Returns (inside, dist, hint): dist
+        is nearest_boundary's distance on the fully searched rows and NaN on
+        the witnessed ones, hint the index of the nearest sample checked.
+        """
+        n = BOUNDARY_SAMPLES
+        k = hint[:, None] + np.arange(-1, 2)
+        k = k % n if self.closed else np.clip(k, 0, n - 1)
+        b = self._boundary_pts[k]
+        d2 = _sq_dist(pts[:, 0, None], pts[:, 1, None], b[..., 0], b[..., 1])
+        j = d2.argmin(axis=1)
+        rows = np.arange(len(k))
+        inside = np.sqrt(d2[rows, j]) < tol
+        hint = k[rows, j]
+        dist = np.full(len(k), np.nan)
+        miss = ~inside
+        if miss.any():
+            dist[miss], hint[miss] = self.nearest_boundary(pts[miss])
+            inside[miss] = dist[miss] < tol
+        return inside, dist, hint
+
+    def _newton_on_curve(self, q, side, order=1):
+        """NEWTON_ITERS 2x2 Newton steps on phi(q) = 0 and side(q, jet) = 0.
+
+        jet is self.jet(q, order); side returns the residual r and its
+        gradient row (r_x, r_y) for the (m, 2) points q.  A row with a
+        singular Jacobian stays put.
         """
         q = np.array(q, dtype=float)
         for _ in range(NEWTON_ITERS):
-            f = self.phi(q)
-            g = self.grad(q)
-            r, rx, ry = side(q, g)
-            gx, gy = g[:, 0], g[:, 1]
+            jet = self.jet(q, order)
+            f, gx, gy = jet[:3]
+            r, rx, ry = side(q, jet)
             det = gx * ry - gy * rx
             inv = np.divide(1.0, det, out=np.zeros_like(det), where=det != 0.0)
             q[:, 0] -= (ry * f - gy * r) * inv
@@ -173,18 +239,19 @@ class ImplicitPath:
         s = (k + span * t) / n
         return s % 1.0 if self.closed else np.clip(s, 0.0, 1.0)
 
-    def _foot_side(self, p):
+    @staticmethod
+    def _foot_side(p):
         """The foot-point condition (q - p) x grad phi(q) = 0 as a side for
-        _newton_on_curve; p is one point (2,) or one per row of q (m, 2)."""
+        _newton_on_curve at order 2; p is one point (2,) or one per row of
+        q (m, 2)."""
         px, py = p[..., 0], p[..., 1]
 
-        def side(q, g):
-            h = self.hess(q)
+        def side(q, jet):
+            _, gx, gy, hxx, hxy, hyy = jet
             dx, dy = q[:, 0] - px, q[:, 1] - py
-            gx, gy = g[:, 0], g[:, 1]
             return (dx * gy - dy * gx,
-                    gy + dx * h[:, 1, 0] - dy * h[:, 0, 0],
-                    dx * h[:, 1, 1] - gx - dy * h[:, 0, 1])
+                    gy + dx * hxy - dy * hxx,
+                    dx * hyy - gx - dy * hxy)
 
         return side
 
@@ -194,7 +261,7 @@ class ImplicitPath:
         past the chord's end becomes that end.
         """
         px, py = p
-        q = self._newton_on_curve(q0, self._foot_side(p))
+        q = self._newton_on_curve(q0, self._foot_side(p), order=2)
         s = self._curve_s(q)
         if not self.closed:
             end = (s == 0.0) | (s == 1.0)
@@ -223,7 +290,7 @@ class ImplicitPath:
             block = flat[i:i + chunk]
             d2 = _sq_dist(block[:, 0, None], block[:, 1, None], cx, cy)
             near[i:i + chunk] = d2.argmin(axis=1)
-        q = self._newton_on_curve(contour[near], self._foot_side(flat))
+        q = self._newton_on_curve(contour[near], self._foot_side(flat), order=2)
         d = np.hypot(q[:, 0] - flat[:, 0], q[:, 1] - flat[:, 1])
         return d.reshape(pts.shape[:-1])
 
@@ -296,20 +363,14 @@ class LinePath(ImplicitPath):
         if self.a == 0.0 and self.b == 0.0:
             raise PathError("line requires (a, b) != (0, 0)")
 
-    def phi(self, p):
+    def jet(self, p, order):
         p = _pts(p)
-        return self.a * p[..., 0] + self.b * p[..., 1] + self.c
-
-    def grad(self, p):
-        p = _pts(p)
-        g = np.empty_like(p)
-        g[..., 0] = self.a
-        g[..., 1] = self.b
-        return g
-
-    def hess(self, p):
-        p = _pts(p)
-        return np.zeros(p.shape[:-1] + (2, 2))
+        out = (self.a * p[..., 0] + self.b * p[..., 1] + self.c,)
+        if order >= 1:
+            out += (self.a, self.b)
+        if order >= 2:
+            out += (0.0, 0.0, 0.0)
+        return out
 
     @cached_property
     def _chord(self):
@@ -355,24 +416,15 @@ class CirclePath(ImplicitPath):
         _require_params("circle", dict(x0=self.x0, y0=self.y0),
                         dict(radius=self.radius, k_s=self.k_s))
 
-    def phi(self, p):
+    def jet(self, p, order):
         p = _pts(p)
         dx, dy = p[..., 0] - self.x0, p[..., 1] - self.y0
-        return self.k_s * (dx * dx + dy * dy - self.radius**2)
-
-    def grad(self, p):
-        p = _pts(p)
-        g = np.empty_like(p)
-        g[..., 0] = 2.0 * self.k_s * (p[..., 0] - self.x0)
-        g[..., 1] = 2.0 * self.k_s * (p[..., 1] - self.y0)
-        return g
-
-    def hess(self, p):
-        p = _pts(p)
-        h = np.zeros(p.shape[:-1] + (2, 2))
-        h[..., 0, 0] = 2.0 * self.k_s
-        h[..., 1, 1] = 2.0 * self.k_s
-        return h
+        out = (self.k_s * (dx * dx + dy * dy - self.radius**2),)
+        if order >= 1:
+            out += (2.0 * self.k_s * dx, 2.0 * self.k_s * dy)
+        if order >= 2:
+            out += (2.0 * self.k_s, 0.0, 2.0 * self.k_s)
+        return out
 
     def point(self, s):
         ang = TWO_PI * np.asarray(s, dtype=float)
@@ -403,24 +455,15 @@ class EllipsePath(ImplicitPath):
         _require_params("ellipse", dict(x0=self.x0, y0=self.y0),
                         dict(R=self.R, p=self.p, q=self.q, k_s=self.k_s))
 
-    def phi(self, pt):
+    def jet(self, pt, order):
         pt = _pts(pt)
         dx, dy = pt[..., 0] - self.x0, pt[..., 1] - self.y0
-        return self.k_s * (dx * dx / self.p**2 + dy * dy / self.q**2 - self.R**2)
-
-    def grad(self, pt):
-        pt = _pts(pt)
-        g = np.empty_like(pt)
-        g[..., 0] = 2.0 * self.k_s * (pt[..., 0] - self.x0) / self.p**2
-        g[..., 1] = 2.0 * self.k_s * (pt[..., 1] - self.y0) / self.q**2
-        return g
-
-    def hess(self, pt):
-        pt = _pts(pt)
-        h = np.zeros(pt.shape[:-1] + (2, 2))
-        h[..., 0, 0] = 2.0 * self.k_s / self.p**2
-        h[..., 1, 1] = 2.0 * self.k_s / self.q**2
-        return h
+        out = (self.k_s * (dx * dx / self.p**2 + dy * dy / self.q**2 - self.R**2),)
+        if order >= 1:
+            out += (2.0 * self.k_s * dx / self.p**2, 2.0 * self.k_s * dy / self.q**2)
+        if order >= 2:
+            out += (2.0 * self.k_s / self.p**2, 0.0, 2.0 * self.k_s / self.q**2)
+        return out
 
     def point(self, s):
         ang = TWO_PI * np.asarray(s, dtype=float)
@@ -453,33 +496,20 @@ class CassiniPath(ImplicitPath):
         if self.p <= self.q:
             raise PathError("cassini supported only in the single-loop regime p > q")
 
-    def phi(self, pt):
+    def jet(self, pt, order):
         pt = _pts(pt)
         dx, dy = pt[..., 0] - self.x0, pt[..., 1] - self.y0
-        rho2 = dx * dx + dy * dy
-        return self.k_s * (
-            rho2 * rho2 - 2.0 * self.q**2 * (dx * dx - dy * dy) - self.p**4 + self.q**4
-        )
-
-    def grad(self, pt):
-        pt = _pts(pt)
-        dx, dy = pt[..., 0] - self.x0, pt[..., 1] - self.y0
-        rho2 = dx * dx + dy * dy
-        g = np.empty_like(pt)
-        g[..., 0] = 4.0 * self.k_s * dx * (rho2 - self.q**2)
-        g[..., 1] = 4.0 * self.k_s * dy * (rho2 + self.q**2)
-        return g
-
-    def hess(self, pt):
-        pt = _pts(pt)
-        dx, dy = pt[..., 0] - self.x0, pt[..., 1] - self.y0
-        rho2 = dx * dx + dy * dy
-        h = np.empty(pt.shape[:-1] + (2, 2))
-        h[..., 0, 0] = 4.0 * self.k_s * (rho2 - self.q**2 + 2.0 * dx * dx)
-        h[..., 1, 1] = 4.0 * self.k_s * (rho2 + self.q**2 + 2.0 * dy * dy)
-        h[..., 0, 1] = 8.0 * self.k_s * dx * dy
-        h[..., 1, 0] = h[..., 0, 1]
-        return h
+        dx2, dy2 = dx * dx, dy * dy
+        rho2 = dx2 + dy2
+        q2 = self.q**2
+        out = (self.k_s * (rho2 * rho2 - 2.0 * q2 * (dx2 - dy2) - self.p**4 + self.q**4),)
+        if order >= 1:
+            minus, plus = rho2 - q2, rho2 + q2
+            out += (4.0 * self.k_s * dx * minus, 4.0 * self.k_s * dy * plus)
+        if order >= 2:
+            out += (4.0 * self.k_s * (minus + 2.0 * dx2), 8.0 * self.k_s * dx * dy,
+                    4.0 * self.k_s * (plus + 2.0 * dy2))
+        return out
 
     def point(self, s):
         th = -TWO_PI * np.asarray(s, dtype=float)
@@ -531,49 +561,28 @@ class PolynomialPath(ImplicitPath):
 
     @cached_property
     def _tables(self):
+        """Term tables of phi, gx, gy, hxx, hxy and hyy, in jet order."""
         dx = self._diff(self.terms, 0)
         dy = self._diff(self.terms, 1)
-        return {
-            "phi": self.terms,
-            "dx": dx,
-            "dy": dy,
-            "dxx": self._diff(dx, 0),
-            "dxy": self._diff(dx, 1),
-            "dyy": self._diff(dy, 1),
-        }
+        return (self.terms, dx, dy, self._diff(dx, 0), self._diff(dx, 1),
+                self._diff(dy, 1))
 
-    @staticmethod
-    def _eval_table(terms, x, y):
-        acc = np.zeros(np.broadcast(x, y).shape)
-        for i, j, c in terms:
-            acc += c * x**i * y**j
-        return acc
-
-    def phi(self, pt):
-        pt = _pts(pt)
-        return self._eval_table(self._tables["phi"], pt[..., 0], pt[..., 1])
-
-    def grad(self, pt):
+    def jet(self, pt, order):
         pt = _pts(pt)
         x, y = pt[..., 0], pt[..., 1]
-        return np.stack(
-            [self._eval_table(self._tables["dx"], x, y),
-             self._eval_table(self._tables["dy"], x, y)],
-            axis=-1,
-        )
-
-    def hess(self, pt):
-        pt = _pts(pt)
-        x, y = pt[..., 0], pt[..., 1]
-        hxx = self._eval_table(self._tables["dxx"], x, y)
-        hxy = self._eval_table(self._tables["dxy"], x, y)
-        hyy = self._eval_table(self._tables["dyy"], x, y)
-        h = np.empty(pt.shape[:-1] + (2, 2))
-        h[..., 0, 0] = hxx
-        h[..., 0, 1] = hxy
-        h[..., 1, 0] = hxy
-        h[..., 1, 1] = hyy
-        return h
+        # Each power of x and y is computed once and shared by the tables.
+        xp, yp = {}, {}
+        out = []
+        for terms in self._tables[:(1, 3, 6)[order]]:
+            acc = np.zeros(x.shape)
+            for i, j, c in terms:
+                if i not in xp:
+                    xp[i] = x**i
+                if j not in yp:
+                    yp[j] = y**j
+                acc += c * xp[i] * yp[j]
+            out.append(acc)
+        return tuple(out)
 
 
 PATH_KINDS = {"line": LinePath, "circle": CirclePath, "ellipse": EllipsePath,

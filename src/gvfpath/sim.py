@@ -32,11 +32,15 @@ Every dynamical outcome is an event, not an exception: runs end with
 GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or
 Timeout.  Convergence requires |e| < tol_e and the distance to the path
 below tol_d sustained for a dwell window (with t_dwell = 0, the first step
-inside both tolerances).  Distances used inside the loop come from
+inside both tolerances).  Distances used inside the loop are those of
 `path.distance_many`: the nearest of 4096 boundary samples on parametric
 paths (resolution about half a sample spacing; use `path.distance` for
-refined point queries), the exact foot point on polynomials.  Non-finite
-starts are invalid input and raise ValueError.
+refined point queries), the exact foot point on polynomials.  The dwell test
+needs only whether that distance is below tol_d: on a parametric path, unless
+distances are recorded, `path.within_boundary` decides it exactly from each
+row's nearest-sample hint and runs the full search only where the hint gives
+no witness.  A run that ends while witnessed gets its full distance.
+Non-finite starts are invalid input and raise ValueError.
 """
 
 from __future__ import annotations
@@ -170,9 +174,10 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
     command(state) returns (e, singular, infeasible, diag, advance) for the
     active rows, and advance(keep) gives the next state of the rows kept.
     record(t, ids, data), if given, sees diag plus e and dist (NaN where the
-    convergence test did not need it, unless record_dist).  Returns the
-    ledger code (an index into _KINDS), t_final, state, e and dist of every
-    run at its termination.
+    convergence test did not need it, unless record_dist; without it, also
+    on the rows the witness decided).  Returns the ledger code (an index
+    into _KINDS), t_final, state, e and dist of every run at its termination,
+    dist from the full search wherever |e| was below tol_e at the end.
     """
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
@@ -192,6 +197,9 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
+    # One nearest-sample hint per row for the witness, compacted with ids.
+    witness = not record_dist and path.has_parametric
+    hint = np.zeros(n_runs, dtype=int)
     # dwell is 0 or a sum of dt: at least one step inside both tolerances is
     # needed to converge, also with t_dwell = 0.
     t_conv = max(stop.t_dwell, dt)
@@ -202,22 +210,34 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
 
         near = np.abs(e) < stop.tol_e
         dist = np.full(len(state), np.nan)
-        cand = near | record_dist
-        if cand.any():
-            dist[cand] = path.distance_many(state[cand, :2])
+        if witness:
+            inside = np.zeros(len(state), dtype=bool)
+            if near.any():
+                inside[near], dist[near], hint[near] = path.within_boundary(
+                    state[near, :2], hint[near], stop.tol_d)
+        else:
+            cand = near | record_dist
+            if cand.any():
+                dist[cand] = path.distance_many(state[cand, :2])
+            inside = dist < stop.tol_d
         if record is not None:
             record(t, ids, {**diag, "e": e, "dist": dist})
 
         critical = singular | (analysis.critical_distance(state[:, :2], crit)
                                < stop.tol_c)
         left = ~path.region.contains(state)
-        dwell = np.where(near & (dist < stop.tol_d), dwell + dt, 0.0)
+        dwell = np.where(near & inside, dwell + dt, 0.0)
         converged = dwell >= t_conv
         last = step == n_steps
         done = infeasible | critical | left | converged | last
         keep = slice(None)
         if done.any():
             ii = ids[done]
+            if witness:
+                # Witnessed rows that end get their distance for fin_d.
+                wit = done & near & np.isnan(dist)
+                if wit.any():
+                    dist[wit] = path.nearest_boundary(state[wit, :2])[0]
             # The first event that fired, in precedence order.
             code[ii] = np.argmax(np.stack([infeasible, critical, left, converged,
                                            np.full(len(done), last)])[:, done], axis=0)
@@ -226,7 +246,7 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
             keep = ~done
             if not keep.any():
                 break
-            ids, dwell = ids[keep], dwell[keep]
+            ids, dwell, hint = ids[keep], dwell[keep], hint[keep]
         state = advance(keep)
     return code, t_fin, fin, fin_e, fin_d
 

@@ -220,6 +220,13 @@ def test_sample_invariant_set_rejects_bad_arguments(ellipse, identity, rng,
         sample_invariant_set(ellipse, identity, 3.0, e_c, n, rng)
 
 
+@pytest.mark.parametrize("k_n", [0.0, -1.0, math.nan, math.inf])
+def test_sample_invariant_set_rejects_bad_gain(ellipse, identity, rng, k_n):
+    # k_n = 0 leaves the heading band, and so M, empty.
+    with pytest.raises(ValueError, match="^k_n must"):
+        sample_invariant_set(ellipse, identity, k_n, 1.6, 5, rng)
+
+
 def test_sample_invariant_set_accepts_empty_critical_set(ellipse, identity, rng):
     # e_c = inf is the threshold of a path without critical points.
     poses = sample_invariant_set(ellipse, identity, 3.0, math.inf, 5, rng)

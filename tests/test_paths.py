@@ -233,6 +233,76 @@ def test_nearest_boundary_matches_reference(path):
                           _nearest_boundary_reference(path, batches[0])[0])
 
 
+@pytest.mark.parametrize("path", [
+    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+    LinePath(1.0, 2.0, -1300.0),
+], ids=["ellipse", "cassini", "sloped_line"])
+def test_within_boundary_decides_like_the_full_search(path):
+    rng = np.random.default_rng(16)
+    m = 4000
+    # Points within 3 Px of the path; a quarter of them near s = 0 and 1,
+    # the line's ends and the closed paths' wrap.
+    s = np.concatenate([rng.uniform(0.0, 1.0, m - m // 4),
+                        rng.uniform(-0.002, 0.002, m // 4) % 1.0])
+    r, ang = 3.0 * np.sqrt(rng.uniform(0.0, 1.0, m)), rng.uniform(0.0, 6.3, m)
+    pts = path.point(s) + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+    dist, best = path.nearest_boundary(pts)
+    n = BOUNDARY_SAMPLES
+    hints = {
+        "exact": best,
+        "stale": best + rng.integers(-6, 7, m),
+        "wrapped": best + n * rng.choice([-1, 1], m),
+        "random": rng.integers(0, n, m),
+    }
+    for name, hint in hints.items():
+        if not path.closed:
+            hint = np.clip(hint, 0, n - 1)
+        for tol in (0.5, 2.0):
+            inside, d, k = path.within_boundary(pts, hint.copy(), tol)
+            assert np.array_equal(inside, dist < tol), name
+            full = ~np.isnan(d)
+            assert np.array_equal(d[full], dist[full]), name
+            assert np.array_equal(k[full], best[full]), name
+            # A witnessed row's new hint is a sample closer than tol.
+            wit = path._boundary_pts[k[~full]] - pts[~full]
+            assert np.all(np.hypot(*wit.T) < tol), name
+            if name == "exact":
+                assert np.array_equal(full, dist >= tol)
+
+
+POLY = PolynomialPath(terms=((2, 0, 1e-05), (1, 0, -0.012), (0, 2, 4e-05),
+                             (0, 1, -0.028), (0, 0, 6.9), (1, 1, 1e-7),
+                             (3, 0, 1e-9), (1, 2, -2e-10)))
+ALL_KINDS = pytest.mark.parametrize("path", [
+    LinePath(1.0, 2.0, -1300.0),
+    CirclePath(640.0, 360.0, 250.0, k_s=1e-5),
+    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+    POLY,
+], ids=["line", "circle", "ellipse", "cassini", "polynomial"])
+
+
+@ALL_KINDS
+def test_jet_orders_and_views_agree_bitwise(path):
+    rng = np.random.default_rng(17)
+    for pts in (PADDED_WORKSPACE.sample(rng, 50).reshape(5, 10, 2),
+                PADDED_WORKSPACE.sample(rng, 1)[0]):
+        shape = pts.shape[:-1]
+        jets = [[np.broadcast_to(c, shape) for c in path.jet(pts, order)]
+                for order in (0, 1, 2)]
+        assert [len(j) for j in jets] == [1, 3, 6]
+        for lo, hi in ((jets[0], jets[1]), (jets[1], jets[2])):
+            assert all(np.array_equal(a, b) for a, b in zip(lo, hi))
+        ph, gx, gy, hxx, hxy, hyy = jets[2]
+        assert np.shape(path.phi(pts)) == shape
+        assert np.array_equal(path.phi(pts), ph)
+        assert np.array_equal(path.grad(pts), np.stack([gx, gy], axis=-1))
+        assert np.array_equal(path.hess(pts), np.stack(
+            [np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)],
+            axis=-2))
+
+
 def test_contour_distance_many_matches_reference():
     circle = PolynomialPath(terms=((2, 0, 1.0), (0, 2, 1.0), (0, 0, -1.0)),
                             region=Region(-2.0, 2.0, -2.0, 2.0))
@@ -284,6 +354,24 @@ def test_check_derivatives_examples(ellipse, cassini, line_y0):
         check_derivatives(ellipse, (0.0, 0.0), h=-1.0)
 
 
+# Unit-scale paths: at the bundled paths' scales phi's second derivatives
+# are too small for the relative measure to see an error in them.
+@pytest.fixture(scope="module")
+def unit_polynomial():
+    return PolynomialPath(terms=((2, 0, 1.0), (0, 2, 1.0), (1, 1, 0.5), (3, 0, 0.2),
+                                 (1, 2, -0.3), (0, 0, -1.0)))
+
+
+@pytest.fixture(scope="module")
+def unit_ellipse():
+    return EllipsePath(x0=0.1, y0=0.2, R=1.2, p=1.0, q=0.5, k_s=1.0)
+
+
+@pytest.fixture(scope="module")
+def unit_cassini():
+    return CassiniPath(x0=0.0, y0=0.0, p=1.1, q=1.0, k_s=1.0)
+
+
 # Each path is sampled over a region matched to its scale: the default step
 # heuristic balances truncation and roundoff only when phi is O(1) there.
 @pytest.mark.parametrize("fixture,box", [
@@ -291,6 +379,9 @@ def test_check_derivatives_examples(ellipse, cassini, line_y0):
     ("cassini", PADDED_WORKSPACE),
     ("line_y0", PADDED_WORKSPACE),
     ("unit_circle", Region(-3.0, 3.0, -3.0, 3.0)),
+    ("unit_polynomial", Region(-3.0, 3.0, -3.0, 3.0)),
+    ("unit_ellipse", Region(-3.0, 3.0, -3.0, 3.0)),
+    ("unit_cassini", Region(-3.0, 3.0, -3.0, 3.0)),
 ])
 def test_derivative_oracle_random_points(fixture, box, request, rng):
     path = request.getfixturevalue(fixture)

@@ -268,6 +268,29 @@ def test_zero_dwell_stops_at_first_step_inside_tolerances(ellipse, identity,
     assert outside.all()
 
 
+@pytest.mark.parametrize("name", ["cassini", "sloped_line"])
+def test_witnessed_dwell_matches_recorded_distances(cassini, identity, exp_params,
+                                                    name):
+    # Without a recorder the dwell test runs on the witness; with one, every
+    # row's distance is searched in full.  The outcomes must agree bit for
+    # bit, and each converged run's dist is the full search at its end.
+    path = cassini if name == "cassini" else LinePath(1.0, 2.0, -1300.0)
+    rng = np.random.default_rng(15)
+    poses = np.column_stack([path.region.sample(rng, 16),
+                             rng.uniform(-math.pi, math.pi, 16)])
+    kw = dict(dt=0.005, t_max=25.0, stop=StopPolicy(t_dwell=1.0))
+    got = simulate_gvf_batch(path, identity, exp_params, poses, **kw)
+    ref = simulate_gvf_batch(path, identity, exp_params, poses, **kw,
+                             record=lambda t, ids, data: None)
+    for col in ("kind", "t_final", "x", "y", "alpha", "e", "dist"):
+        assert np.array_equal(getattr(got, col), getattr(ref, col),
+                              equal_nan=col != "kind"), col
+    conv = np.array([k is TerminationKind.CONVERGED for k in got.kind])
+    assert conv.sum() >= 8
+    end = np.column_stack([got.x, got.y])[conv]
+    assert np.array_equal(got.dist[conv], path.distance_many(end))
+
+
 def _assert_same_runs(batch, singles):
     assert len(batch) == len(singles)
     for b, s in zip(batch, singles):

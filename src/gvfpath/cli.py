@@ -118,7 +118,7 @@ def run_scenario(scn, out_dir):
     controller = scn.controller_params()
     u_r = None if scn.controller == "gvf" else scn.u_r
 
-    trajs = sim._simulate_runs(scn.path, scn.errmap, controller,
+    trajs = sim._simulate_runs(scn.path, scn.errmap, [controller] * len(scn.poses),
                                [pose for _, pose in scn.poses], dt=scn.dt,
                                t_max=scn.t_max, stop=scn.stop, u_r=u_r)
     summaries = []
@@ -221,23 +221,27 @@ def comparison_metrics(traj, settle_threshold, steady_window, touch_eps):
 
 
 def compare_controllers(scn, out_dir):
-    """Run the configured controllers from the same pose; emit d(t) + metrics."""
+    """Run the configured controllers from the scenario's one pose, as one
+    batch; emit d(t) + metrics."""
     if scn.compare is None:
         raise ConfigError("scenario has no [compare] section")
     if not scn.path.has_parametric:
         raise ConfigError("controller comparison needs a parametric path")
+    if len(scn.poses) != 1:
+        raise ConfigError("controller comparison runs from one initial pose; "
+                          f"[initial_poses] has {len(scn.poses)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    label, pose = scn.poses[0]
+    _, pose = scn.poses[0]
     crit = analysis.find_critical_points(scn.path).points
 
+    names = scn.compare.controllers
+    trajs = sim._simulate_runs(scn.path, scn.errmap,
+                               [scn.controller_params(name) for name in names],
+                               [pose] * len(names), dt=scn.dt, t_max=scn.t_max,
+                               stop=scn.stop, u_r=scn.u_r, critical_points=crit)
     rows = []
-    for name in scn.compare.controllers:
-        controller = scn.controller_params(name)
-        u_r = None if name == "gvf" else scn.u_r
-        traj = sim.simulate(scn.path, scn.errmap, controller, pose,
-                            dt=scn.dt, t_max=scn.t_max, stop=scn.stop,
-                            u_r=u_r, critical_points=crit)
+    for name, traj in zip(names, trajs):
         write_trajectory_csv(out / f"compare_{name}.csv", traj)
         over, settle, steady = comparison_metrics(
             traj, scn.compare.settle_threshold, scn.compare.steady_window,

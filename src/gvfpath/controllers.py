@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import BOUNDARY_SAMPLES
+from .paths import BOUNDARY_SAMPLES, COARSE_STRIDE, PROJECTION_SEEDS
 from .util import require_positive, wrap_angle
 
 
@@ -74,10 +74,11 @@ class Projection:
     tangent: np.ndarray
 
 
-PROJECTION_SEEDS = 1024
 # Two refined minima closer than this in distance make the projection
 # ambiguous (the classic case: the center of an ellipse).
 PROJECTION_TIE_TOL = 1e-6
+# Relative rounding slack of the circle scan's pruning test.
+CIRCLE_SCAN_SLACK = 1e-9
 
 
 def _signed_curvature(gx, gy, hxx, hxy, hyy):
@@ -106,7 +107,8 @@ def project_to_path(path, point, direction=Direction.FORWARD):
     p = np.asarray(point, dtype=float)
     # The seed parameters k/1024 index every 4th cached boundary sample.
     seed_pts = path._boundary_pts[:: BOUNDARY_SAMPLES // PROJECTION_SEEDS]
-    d_seed = np.hypot(*(seed_pts - p).T)
+    sx, sy = path._seed_xy
+    d_seed = np.hypot(sx - p[0], sy - p[1])
 
     # Each seed's neighbours: wrapped on closed paths, +inf past an open end.
     ends = (d_seed[-1:], d_seed[:1]) if path.closed else ((math.inf,), (math.inf,))
@@ -165,23 +167,43 @@ def los_sample(path, params, pose, u_r):
 def _circle_intersections(path, center, radius):
     """Points q where |q - center| = radius on the path, and their s.
 
-    A sign-change scan of |sample - center| - radius over the 4096 cached
+    A sign-change scan of f = |sample - center| - radius over the 4096 cached
     boundary samples brackets each crossing; Newton on phi(q) = 0 with the
     circle condition |q - center|^2 = radius^2 then refines all of them at
     once, started at the chord crossing of each bracket.
+
+    The scan is pruned to coarse cells.  The distance to the center is
+    1-Lipschitz along the sample polyline, so within a cell of polyline
+    length L every sample's f lies within L of the f of the cell's first
+    (coarse) sample.  A cell whose coarse |f| exceeds L, with a slack for
+    rounding, has no zero and no sign change, and is skipped; the other
+    cells are scanned sample by sample with the same arithmetic, so the
+    brackets, in order, are those of the full scan.
     """
+    px, py = center
+    cx, cy = path._boundary_windows[:2]
+    lengths = path._cell_lengths
+    fc = np.abs(np.hypot(cx - px, cy - py) - radius)
+    cells = np.flatnonzero(fc <= lengths + CIRCLE_SCAN_SLACK * (fc + lengths + radius))
+    # Samples 32c ... 32c+32 of each scanned cell; the sample after the last
+    # is sample 0 again on closed paths, NaN on open ones.
+    j = (COARSE_STRIDE * cells)[:, None] + np.arange(COARSE_STRIDE + 1)
+    x, y = path._boundary_xy
+    f = np.hypot(x[j] - px, y[j] - py) - radius
+    fa, fb = f[:, :-1], f[:, 1:]
+    hit = (fa == 0.0) | (fa * fb < 0.0)
+    n = len(x) - 1
+    if not path.closed:
+        # No bracket starts at the last sample of an open path.
+        hit[:, -1] &= j[:, -2] < n - 1
+    fa, fb = fa[hit], fb[hit]
+    k = j[:, :-1][hit]
     pts = path._boundary_pts
-    f = np.hypot(*(pts - center).T) - radius
-    if path.closed:
-        f = np.concatenate((f, f[:1]))
-    fa, fb = f[:-1], f[1:]
-    k = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
-    a, b = pts[k], pts[(k + 1) % len(pts)]
-    t = fa[k] / (fa[k] - fb[k])
-    cx, cy = center
+    a, b = pts[k], pts[(k + 1) % n]
+    t = fa / (fa - fb)
 
     def side(q, jet):
-        dx, dy = q[:, 0] - cx, q[:, 1] - cy
+        dx, dy = q[:, 0] - px, q[:, 1] - py
         return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
 
     q = path._newton_on_curve(a + t[:, None] * (b - a), side)

@@ -34,6 +34,8 @@ from .util import PADDED_WORKSPACE, TWO_PI, Region, require_positive
 # then take NEWTON_ITERS Newton steps on the implicit curve from a sample.
 BOUNDARY_SAMPLES = 4096
 COARSE_STRIDE = 32
+# The global projection seeds its search with this many boundary samples.
+PROJECTION_SEEDS = 1024
 NEWTON_ITERS = 4
 # Raster resolution used to locate the zero contour of paths that have no
 # parametric form; distance queries refine the nearest contour point.
@@ -134,6 +136,34 @@ class ImplicitPath:
         return self.point(s)
 
     @cached_property
+    def _boundary_xy(self):
+        """Contiguous x and y of the boundary samples and one more: sample 0
+        again on closed paths, NaN on open ones, so that samples j and j + 1
+        are neighbours on the path for every j < BOUNDARY_SAMPLES."""
+        pts = self._boundary_pts
+        after = pts[:1] if self.closed else np.full((1, 2), np.nan)
+        x, y = np.ascontiguousarray(np.concatenate((pts, after)).T)
+        return x, y
+
+    @cached_property
+    def _seed_xy(self):
+        """Contiguous x and y of the PROJECTION_SEEDS projection seeds, every
+        (BOUNDARY_SAMPLES // PROJECTION_SEEDS)-th boundary sample."""
+        seeds = self._boundary_pts[:: BOUNDARY_SAMPLES // PROJECTION_SEEDS]
+        x, y = np.ascontiguousarray(seeds.T)
+        return x, y
+
+    @cached_property
+    def _cell_lengths(self):
+        """Polyline length of each coarse cell: samples 32k ... 32k+32 (the
+        last cell of an open path ends at its last sample)."""
+        x, y = self._boundary_xy
+        seg = np.hypot(np.diff(x), np.diff(y))
+        if not self.closed:
+            seg[-1] = 0.0
+        return seg.reshape(-1, COARSE_STRIDE).sum(axis=1)
+
+    @cached_property
     def _boundary_windows(self):
         """(cx, cy, wx, wy, pad): the coarse samples' x and y, and each coarse
         cell's candidate window over the padded sample index pad.
@@ -209,14 +239,18 @@ class ImplicitPath:
         singular Jacobian stays put.
         """
         q = np.array(q, dtype=float)
+        qx, qy = q[:, 0], q[:, 1]
         for _ in range(NEWTON_ITERS):
             jet = self.jet(q, order)
             f, gx, gy = jet[:3]
             r, rx, ry = side(q, jet)
             det = gx * ry - gy * rx
-            inv = np.divide(1.0, det, out=np.zeros_like(det), where=det != 0.0)
-            q[:, 0] -= (ry * f - gy * r) * inv
-            q[:, 1] -= (gx * r - rx * f) * inv
+            if det.all():
+                inv = 1.0 / det
+            else:
+                inv = np.divide(1.0, det, out=np.zeros_like(det), where=det != 0.0)
+            qx -= (ry * f - gy * r) * inv
+            qy -= (gx * r - rx * f) * inv
         return q
 
     def _curve_s(self, q):
@@ -233,9 +267,9 @@ class ImplicitPath:
         else:
             lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
             span = hi - lo
-        pts = self._boundary_pts
-        chord = pts[hi] - pts[lo]
-        t = np.sum((q - pts[k]) * chord, axis=-1) / np.sum(chord * chord, axis=-1)
+        x, y = self._boundary_xy
+        cx, cy = x[hi] - x[lo], y[hi] - y[lo]
+        t = ((q[:, 0] - x[k]) * cx + (q[:, 1] - y[k]) * cy) / (cx * cx + cy * cy)
         s = (k + span * t) / n
         return s % 1.0 if self.closed else np.clip(s, 0.0, 1.0)
 

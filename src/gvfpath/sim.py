@@ -26,7 +26,10 @@ path.region.  Ended rows are dropped before the advance, so a
 non-regular row is never stepped.  All of a scenario's initial poses run as
 one batch, each run's rows recorded into one shared buffer; `simulate` is
 that batch with one pose, and its Trajectory is bit-identical to the same
-pose's in any batch, since every step is elementwise per row.
+pose's in any batch, since every step is elementwise per row.  A batch may
+mix controllers: the command steers the active rows of each controller
+together, as one slice, and a controller that owns every active row gets
+them unsliced.  The GVF / LOS / NGL comparison runs as one such batch.
 
 Every dynamical outcome is an event, not an exception: runs end with
 GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or
@@ -171,8 +174,9 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
     """The batched time-step loop and its termination ledger.
 
     state is (B, k) with the position in its first two columns.  Each step,
-    command(state) returns (e, singular, infeasible, diag, advance) for the
-    active rows, and advance(keep) gives the next state of the rows kept.
+    command(state, ids) returns (e, singular, infeasible, diag, advance) for
+    the active rows, ids being their run indices, and advance(keep) gives
+    the next state of the rows kept.
     record(t, ids, data), if given, sees diag plus e and dist (NaN where the
     convergence test did not need it, unless record_dist; without it, also
     on the rows the witness decided).  Returns the ledger code (an index
@@ -206,7 +210,7 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
     n_steps = int(math.ceil(t_max / dt - 1e-9))
     for step in range(n_steps + 1):
         t = step * dt
-        e, singular, infeasible, diag, advance = command(state)
+        e, singular, infeasible, diag, advance = command(state, ids)
 
         near = np.abs(e) < stop.tol_e
         dist = np.full(len(state), np.nan)
@@ -251,26 +255,63 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
     return code, t_fin, fin, fin_e, fin_d
 
 
-def _unicycle_command(steer, u_r, dt):
-    """Command for (x, y, alpha) rows turned by steer(x, y, alpha).
+def _unicycle_command(steers, group, u_r, dt):
+    """Command for (x, y, alpha) rows, run i turned by steers[group[i]] at
+    forward speed u_r (a float, or one per run).
 
-    steer returns (e, singular, infeasible, diag) with the turn rate in
-    diag["omega"], which the RK4 advance holds over the step.
+    Each steer(x, y, alpha) returns (e, singular, infeasible, diag) with the
+    turn rate in diag["omega"], which the RK4 advance holds over the step.
+    group must be sorted, so that each steer's active rows are one slice.
     """
+    per_run = np.ndim(u_r) > 0
 
-    def command(state):
+    def command(state, ids):
         x, y, alpha = state.T
-        e, singular, infeasible, diag = steer(x, y, alpha)
+        if len(steers) == 1:
+            e, singular, infeasible, diag = steers[0](x, y, alpha)
+        else:
+            e, singular, infeasible, diag = _steer_slices(steers, group[ids],
+                                                          x, y, alpha)
         omega = diag["omega"]
+        speed = u_r[ids] if per_run else u_r
 
         def advance(keep):
             return np.array(_rk4_step(x[keep], y[keep], alpha[keep],
-                                      u_r, omega[keep], dt)).T
+                                      speed[keep] if per_run else speed,
+                                      omega[keep], dt)).T
 
         return (e, singular, infeasible,
                 {"x": x, "y": y, "alpha": alpha, **diag}, advance)
 
     return command
+
+
+_DIAG_KEYS = ("delta", "omega_d", "omega")
+
+
+def _steer_slices(steers, group, x, y, alpha):
+    """Rows sorted by steer (group): each steer turns its own slice of rows.
+
+    A steer that owns every row gets the arrays unsliced.  Otherwise the
+    merged diag holds delta, omega_d, omega and the slices' detail messages,
+    keyed by row.
+    """
+    if group[0] == group[-1]:
+        return steers[group[0]](x, y, alpha)
+    cuts = np.searchsorted(group, np.arange(len(steers) + 1)).tolist()
+    n = len(x)
+    e = np.empty(n)
+    singular, infeasible = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    diag = {key: np.empty(n) for key in _DIAG_KEYS}
+    detail = diag["detail"] = {}
+    for steer, a, b in zip(steers, cuts, cuts[1:]):
+        if a == b:
+            continue
+        e[a:b], singular[a:b], infeasible[a:b], part = steer(x[a:b], y[a:b], alpha[a:b])
+        for key in _DIAG_KEYS:
+            diag[key][a:b] = part[key]
+        detail.update((a + j, msg) for j, msg in part.get("detail", {}).items())
+    return e, singular, infeasible, diag
 
 
 def _gvf_steer(path, errmap, params):
@@ -339,7 +380,8 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
     was not needed for the convergence test).
     """
     poses0 = np.asarray(poses0, dtype=float).reshape(-1, 3)
-    command = _unicycle_command(_gvf_steer(path, errmap, params), params.u_r, dt)
+    command = _unicycle_command([_gvf_steer(path, errmap, params)], None,
+                                params.u_r, dt)
     code, t_final, fin, e, dist = _run(command, path, poses0, dt, t_max, stop,
                                        critical_points, record,
                                        record_dist=record is not None)
@@ -386,31 +428,46 @@ class _RowRecorder:
                 **{c: self.buf[:n, j, i].copy() for j, c in enumerate(_ROW_KEYS)}}
 
 
-def _simulate_runs(path, errmap, controller, poses, dt, t_max, stop=StopPolicy(),
+def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(),
                    u_r=None, critical_points=None):
     """Integrate the closed loop from each Pose in one batch; one Trajectory
     per pose, each equal to that pose's run on its own.
 
-    controller is GvfParams (u_r taken from it) or LosParams / NglParams
-    (pass the forward speed via u_r).
+    controllers holds one controller per pose: GvfParams (u_r taken from
+    it) or LosParams / NglParams (pass the forward speed via u_r).  The
+    batch may mix them; the runs of one controller are steered together.
     """
-    if isinstance(controller, gvf.GvfParams):
-        if u_r is not None and u_r != controller.u_r:
-            raise ValueError("u_r is carried by GvfParams; do not pass both")
-        steer, u_r = _gvf_steer(path, errmap, controller), controller.u_r
-    elif isinstance(controller, (ctl.LosParams, ctl.NglParams)):
-        if u_r is None or u_r <= 0.0:
-            raise ValueError("baseline controllers need a positive u_r")
-        if not path.has_parametric:
-            raise PathError("baseline controllers require a parametric path")
-        steer = _baseline_steer(path, errmap, controller, u_r)
-    else:
-        raise TypeError(f"unsupported controller {controller!r}")
-
-    state = np.array([[p.x, p.y, p.alpha] for p in poses]).reshape(-1, 3)
+    if len(controllers) != len(poses):
+        raise ValueError(f"{len(controllers)} controllers for {len(poses)} poses")
+    index, speeds = {}, []
+    for controller in controllers:
+        if isinstance(controller, gvf.GvfParams):
+            if u_r is not None and u_r != controller.u_r:
+                raise ValueError("u_r is carried by GvfParams; do not pass both")
+            speeds.append(controller.u_r)
+        elif isinstance(controller, (ctl.LosParams, ctl.NglParams)):
+            if u_r is None or u_r <= 0.0:
+                raise ValueError("baseline controllers need a positive u_r")
+            if not path.has_parametric:
+                raise PathError("baseline controllers require a parametric path")
+            speeds.append(u_r)
+        else:
+            raise TypeError(f"unsupported controller {controller!r}")
+        index.setdefault(controller, len(index))
+    steers = [_gvf_steer(path, errmap, c) if isinstance(c, gvf.GvfParams)
+              else _baseline_steer(path, errmap, c, u_r) for c in index]
+    # The batch runs sorted by controller, so that the active rows of each
+    # controller are one slice; run j of the batch is pose order[j].
+    group = np.array([index[c] for c in controllers], dtype=int)
+    order = np.argsort(group, kind="stable")
+    # One speed for the whole batch keeps the advance's arithmetic scalar.
+    speed = (speeds[0] if len(set(speeds)) == 1
+             else np.array(speeds, dtype=float)[order])
+    state = np.array([[p.x, p.y, p.alpha] for p in poses]).reshape(-1, 3)[order]
     rec = _RowRecorder(len(state))
-    code, t_final, *_ = _run(_unicycle_command(steer, u_r, dt), path, state, dt,
-                             t_max, stop, critical_points, rec, record_dist=True)
+    code, t_final, *_ = _run(_unicycle_command(steers, group[order], speed, dt),
+                             path, state, dt, t_max, stop, critical_points, rec,
+                             record_dist=True)
     details = {
         TerminationKind.CONVERGED: "|e| and path distance within tolerance "
                                    f"for {stop.t_dwell} s",
@@ -418,12 +475,12 @@ def _simulate_runs(path, errmap, controller, poses, dt, t_max, stop=StopPolicy()
         TerminationKind.TIMEOUT: "t_max reached",
         TerminationKind.LEFT_DOMAIN: "left the working region",
     }
-    trajs = []
-    for i, kind in enumerate(_KINDS[code]):
+    trajs = [None] * len(order)
+    for j, kind in enumerate(_KINDS[code]):
         # Infeasible runs carry their own guidance error message.
-        event = TerminationEvent(kind, float(t_final[i]),
-                                 rec.detail.get(i) or details[kind])
-        trajs.append(Trajectory(dt=dt, termination=event, **rec.columns(i)))
+        event = TerminationEvent(kind, float(t_final[j]),
+                                 rec.detail.get(j) or details[kind])
+        trajs[order[j]] = Trajectory(dt=dt, termination=event, **rec.columns(j))
     return trajs
 
 
@@ -436,7 +493,7 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
     with an event; only invalid configuration raises.  The recorded alpha is
     the integrated heading, not wrapped.
     """
-    return _simulate_runs(path, errmap, controller, [pose0], dt, t_max, stop,
+    return _simulate_runs(path, errmap, [controller], [pose0], dt, t_max, stop,
                           u_r, critical_points)[0]
 
 
@@ -457,7 +514,7 @@ def _trace_command(path, errmap, k_n, mode, u_r, dt):
     def stage(pts):
         return velocity(gvf._field_v(path, errmap, k_n, pts)[-1])
 
-    def command(pts):
+    def command(pts, ids):
         # The first stage also gives e and the regular mask.
         fs = gvf.field_arrays(path, errmap, k_n, pts)
         k1 = velocity(fs["v"])

@@ -25,8 +25,12 @@ def wrap_angle(a):
     """Wrap an angle (scalar or array) to (-pi, pi]; +pi maps to +pi.
 
     Values already inside the interval pass through bitwise unchanged, so
-    wrapping is idempotent.
+    wrapping is idempotent.  A finite float takes a scalar path with the
+    same bits: Python's float % rounds exactly like np.remainder.
     """
+    if isinstance(a, float) and math.isfinite(a):
+        a = float(a)
+        return a if -math.pi < a <= math.pi else math.pi - (math.pi - a) % TWO_PI
     arr = np.asarray(a, dtype=float)
     out = np.where(
         (arr > math.pi) | (arr <= -math.pi),

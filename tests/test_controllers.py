@@ -19,7 +19,7 @@ from gvfpath import (
 )
 from gvfpath.controllers import _circle_intersections, los_sample, ngl_sample
 from gvfpath.field import compose_heading, field_arrays, steering_arrays
-from gvfpath.paths import BOUNDARY_SAMPLES
+from gvfpath.paths import BOUNDARY_SAMPLES, COARSE_STRIDE
 from gvfpath.util import PADDED_WORKSPACE
 
 
@@ -302,3 +302,66 @@ def test_foot_point_is_exact(path, rng):
             continue
         (dx, dy), (gx, gy) = pr.point - p, path.grad(pr.point)
         assert abs(dx * gy - dy * gx) / math.hypot(gx, gy) < 1e-9
+
+
+def _full_scan_circle_intersections(path, center, radius):
+    """The circle crossings from a sign-change scan of all 4096 samples: the
+    reference for the coarse-cell pruning of _circle_intersections."""
+    pts = path._boundary_pts
+    f = np.hypot(*(pts - center).T) - radius
+    if path.closed:
+        f = np.concatenate((f, f[:1]))
+    fa, fb = f[:-1], f[1:]
+    k = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
+    a, b = pts[k], pts[(k + 1) % len(pts)]
+    t = fa[k] / (fa[k] - fb[k])
+    cx, cy = center
+
+    def side(q, jet):
+        dx, dy = q[:, 0] - cx, q[:, 1] - cy
+        return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
+
+    q = path._newton_on_curve(a + t[:, None] * (b - a), side)
+    return q, path._curve_s(q)
+
+
+@REFERENCE_PATHS
+def test_pruned_circle_scan_matches_full_scan(path, rng):
+    pts = path._boundary_pts
+    cases = []
+    for p in PADDED_WORKSPACE.sample(rng, 150):
+        d = float(path.distance_many(p))
+        k = int(rng.integers(BOUNDARY_SAMPLES))
+        cases += [
+            (p, d + 40.0),
+            (p, rng.uniform(1.0, 1500.0)),
+            (p, 0.5 * d),                       # no crossing
+            (p, d), (p, d + 1e-9),              # near-tangent at a sample
+            (p, path.distance(p) + 1e-12),      # near-tangent at the foot point
+            (p, float(np.hypot(*(pts[k] - p)))),  # through sample k exactly
+        ]
+    # Circles through the ends of the sample range: on the open line, no
+    # bracket starts at the last sample.
+    for p in PADDED_WORKSPACE.sample(rng, 20):
+        cases += [(p, float(np.hypot(*(pts[-1] - p)))),
+                  (p, float(np.hypot(*(pts[0] - p))))]
+    # Centers behind sample 0, on the line's extension for the sloped line,
+    # and radii a few ulps short of a cell's last sample: where the distance
+    # grows as fast as the arc length, the coarse |f| can exceed the cell's
+    # rounded length by a rounding error while the cell holds a crossing.
+    step = (pts[1] - pts[0]) / np.hypot(*(pts[1] - pts[0]))
+    for back in (15.0, 85.0):
+        p = pts[0] - back * step
+        for end in range(COARSE_STRIDE, BOUNDARY_SAMPLES, COARSE_STRIDE):
+            r = float(np.hypot(*(pts[end] - p)))
+            cases += [(p, r - u * math.ulp(r)) for u in (1, 2, 3)]
+    exact = empty = 0
+    for p, radius in cases:
+        q_ref, s_ref = _full_scan_circle_intersections(path, p, radius)
+        q, s = _circle_intersections(path, p, radius)
+        assert q.shape == q_ref.shape and s.shape == s_ref.shape
+        assert np.array_equal(q, q_ref) and np.array_equal(s, s_ref)
+        f = np.hypot(*(pts - p).T) - radius
+        exact += bool(np.any(f == 0.0))
+        empty += not len(s)
+    assert exact >= 150 and empty >= 150

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -398,3 +399,38 @@ def test_error_separated_from_zero_off_path(ellipse, cassini, identity, kappa, r
         assert far.any()
         e = np.abs(identity.psi(path.phi(pts[far])))
         assert e.min() > 0.0
+
+
+def _circle_side(centers, radius):
+    """The condition |q - center|^2 = radius^2, one center per row."""
+
+    def side(q, jet):
+        dx, dy = q[:, 0] - centers[:, 0], q[:, 1] - centers[:, 1]
+        return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
+
+    return side
+
+
+@pytest.mark.parametrize("path", [
+    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    LinePath(1.0, 2.0, -1300.0),
+], ids=["ellipse", "sloped_line"])
+def test_newton_singular_row_stays_put(path):
+    # Each circle of radius 25 crosses the path at right angles at a sample,
+    # and Newton starts 3 Px off the path next to that sample.
+    b = path._boundary_pts[[300, 1200, 2500, 3900]]
+    g = path.grad(b)
+    g /= np.hypot(g[:, 0], g[:, 1])[:, None]
+    centers = b + 25.0 * np.column_stack([g[:, 1], -g[:, 0]])
+    q0 = b + 3.0 * g
+    # At its own center the side's gradient vanishes: a singular Jacobian.
+    centers[1] = q0[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = path._newton_on_curve(q0, _circle_side(centers, 25.0))
+        solo = [path._newton_on_curve(q0[[i]], _circle_side(centers[[i]], 25.0))[0]
+                for i in range(4)]
+    assert np.array_equal(q[1], q0[1]) and np.array_equal(solo[1], q0[1])
+    for i in (0, 2, 3):
+        assert np.array_equal(q[i], solo[i])
+        assert abs(path.phi(q[i])) < 1e-3 * abs(path.phi(q0[i]))

@@ -306,6 +306,19 @@ def test_compare_same_controller_twice_identical(tmp_path):
     assert len(gvf_bytes) > 0
 
 
+def test_compare_needs_exactly_one_pose(tmp_path):
+    text = SMALL_SCENARIO.replace("a = 980.0 350.0 -1.4",
+                                  "a = 980.0 350.0 -1.4\nb = 600.0 250.0 0.0")
+    scn = parse_scenario(text + "\n[compare]\ncontrollers = gvf\n")
+    assert len(scn.poses) == 2
+    with pytest.raises(ConfigError, match="one initial pose; .* has 2"):
+        compare_controllers(scn, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(text + "\n[compare]\ncontrollers = gvf\n")
+    assert main(["compare", str(cfg), "-o", str(tmp_path / "c")]) == 2
+
+
 def test_field_grid_ellipse_flags_center(tmp_path, ellipse, identity):
     out = tmp_path / "grid.csv"
     flagged = export_field_grid(ellipse, identity, 3.0,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvfpath import (
+    GvfParams,
     LinePath,
     LosParams,
     NglParams,
@@ -305,7 +306,7 @@ def test_batch_equals_single_runs(name):
     scn = bundled_scenario(f"{name}.cfg")
     poses = [pose for _, pose in scn.poses]
     kw = dict(dt=scn.dt, t_max=scn.t_max, stop=scn.stop)
-    batch = _simulate_runs(scn.path, scn.errmap, scn.gvf, poses, **kw)
+    batch = _simulate_runs(scn.path, scn.errmap, [scn.gvf] * len(poses), poses, **kw)
     assert len(poses) == 4
     _assert_same_runs(batch, [simulate(scn.path, scn.errmap, scn.gvf, p, **kw)
                               for p in poses])
@@ -319,7 +320,7 @@ def test_baseline_batch_keeps_each_runs_detail(ellipse, identity, controller):
     poses = [Pose(200.0, 450.0, 0.0278), Pose(600.0, 350.0, 0.0),
              Pose(600.0, 250.0, 0.0)]
     kw = dict(dt=0.005, t_max=2.0, u_r=50.0)
-    batch = _simulate_runs(ellipse, identity, controller, poses, **kw)
+    batch = _simulate_runs(ellipse, identity, [controller] * len(poses), poses, **kw)
     _assert_same_runs(batch, [simulate(ellipse, identity, controller, p, **kw)
                               for p in poses])
     details = [traj.termination.detail for traj in batch]
@@ -329,6 +330,52 @@ def test_baseline_batch_keeps_each_runs_detail(ellipse, identity, controller):
         assert "(600.0, 250.0) does not intersect" in details[2]
     else:
         assert details[2] == "t_max reached"
+
+
+def test_mixed_controller_batch_equals_single_runs(ellipse, identity, exp_params):
+    los, ngl = LosParams(lookahead=70.0, k_los=2.0), NglParams(radius=40.0, k_r=2.0)
+    start = Pose(200.0, 450.0, 0.0278)
+    # LOS is ambiguous at the center and NGL infeasible at (600, 250): those
+    # runs end at t = 0, while the GVF runs from the same poses go on.
+    runs = [(exp_params, start), (los, start), (ngl, start),
+            (los, Pose(600.0, 350.0, 0.0)), (exp_params, Pose(600.0, 250.0, 0.0)),
+            (ngl, Pose(600.0, 250.0, 0.0)), (exp_params, Pose(600.0, 350.0, 0.0))]
+    controllers, poses = zip(*runs)
+    kw = dict(dt=0.005, t_max=2.0, u_r=50.0)
+    batch = _simulate_runs(ellipse, identity, controllers, poses, **kw)
+    _assert_same_runs(batch, [simulate(ellipse, identity, c, p, **kw) for c, p in runs])
+    ends = [(traj.termination.kind, traj.termination.t_final) for traj in batch]
+    assert ends[:3] == [(TerminationKind.TIMEOUT, 2.0)] * 3
+    assert ends[3] == ends[5] == (TerminationKind.INFEASIBLE, 0.0)
+    assert ends[4] == (TerminationKind.TIMEOUT, 2.0)
+    assert ends[6] == (TerminationKind.CRITICAL, 0.0)
+    details = [traj.termination.detail for traj in batch]
+    assert "(600.0, 350.0) is ambiguous" in details[3]
+    assert "(600.0, 250.0) does not intersect" in details[5]
+
+    # GVF runs at two speeds: the advance takes each run's own u_r.
+    slow = GvfParams(k_n=3.0, k_delta=2.0, u_r=30.0)
+    controllers = [exp_params, slow, slow]
+    poses = [start, start, Pose(980.0, 350.0, -1.4)]
+    kw = dict(dt=0.005, t_max=1.0)
+    batch = _simulate_runs(ellipse, identity, controllers, poses, **kw)
+    _assert_same_runs(batch, [simulate(ellipse, identity, c, p, **kw)
+                              for c, p in zip(controllers, poses)])
+    assert batch[0].x[-1] != batch[1].x[-1]
+
+
+def test_simulate_runs_checks_every_controller(ellipse, identity, exp_params):
+    los = LosParams(lookahead=70.0, k_los=2.0)
+    start = Pose(200.0, 450.0, 0.0278)
+    with pytest.raises(ValueError, match="positive u_r"):
+        _simulate_runs(ellipse, identity, [exp_params, los], [start, start],
+                       dt=0.005, t_max=1.0)
+    with pytest.raises(ValueError, match="do not pass both"):
+        _simulate_runs(ellipse, identity, [los, exp_params], [start, start],
+                       dt=0.005, t_max=1.0, u_r=40.0)
+    with pytest.raises(ValueError, match="2 controllers for 1 poses"):
+        _simulate_runs(ellipse, identity, [los, los], [start], dt=0.005,
+                       t_max=1.0, u_r=50.0)
 
 
 def test_simulate_converges_with_bounded_error_map(ellipse, exp_params):

@@ -33,6 +33,30 @@ def test_wrap_angle_vectorized():
     assert w[3] == pytest.approx(7.0 - 2 * math.pi)
 
 
+def test_wrap_angle_scalar_path_matches_array_path():
+    pi = math.pi
+    values = [pi, -pi, 0.0, -0.0, 3 * pi, -3 * pi, 1e300, -1e300,
+              math.nextafter(pi, 4.0), math.nextafter(-pi, 0.0), 2 * pi, -2 * pi]
+    rng = np.random.default_rng(20261020)
+    values += list(rng.uniform(-10.0, 10.0, 3000)) + list(rng.uniform(-1e6, 1e6, 3000))
+    want = wrap_angle(np.array(values))
+    for v, w in zip(values, want):
+        for scalar in (v, np.float64(v)):
+            got = wrap_angle(scalar)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == w.tobytes(), v  # sign of zero too
+
+
+def test_wrap_angle_non_finite_keeps_array_path():
+    assert math.isnan(wrap_angle(math.nan))
+    for v in (math.inf, -math.inf):
+        # numpy's remainder flags the invalid operation; Python's % would not.
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            wrap_angle(v)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(wrap_angle(v))
+
+
 def test_region_geometry():
     r = Region(0.0, 10.0, -2.0, 2.0)
     assert r.center == (5.0, 0.0)

@@ -106,16 +106,16 @@ def project_to_path(path, point, direction=Direction.FORWARD):
         raise ValueError("projection requires a path with a parametric form")
     p = np.asarray(point, dtype=float)
     # The seed parameters k/1024 index every 4th cached boundary sample.
-    seed_pts = path._boundary_pts[:: BOUNDARY_SAMPLES // PROJECTION_SEEDS]
-    sx, sy = path._seed_xy
-    d_seed = np.hypot(sx - p[0], sy - p[1])
+    seeds = slice(0, BOUNDARY_SAMPLES, BOUNDARY_SAMPLES // PROJECTION_SEEDS)
+    x, y = path._boundary_xy
+    d_seed = np.hypot(x[seeds] - p[0], y[seeds] - p[1])
 
     # Each seed's neighbours: wrapped on closed paths, +inf past an open end.
     ends = (d_seed[-1:], d_seed[:1]) if path.closed else ((math.inf,), (math.inf,))
     pad = np.concatenate((ends[0], d_seed, ends[1]))
     is_min = (d_seed <= pad[:-2]) & (d_seed <= pad[2:])
 
-    q, s, d = path._foot_points(p, seed_pts[is_min])
+    q, s, d = path._foot_points(p, path._boundary_pts[seeds][is_min])
     best = np.argmin(d)
     d_best, s_best = d[best], s[best]
     # The runner-up is the best minimum at a different parameter value.
@@ -181,14 +181,14 @@ def _circle_intersections(path, center, radius):
     brackets, in order, are those of the full scan.
     """
     px, py = center
-    cx, cy = path._boundary_windows[:2]
+    x, y = path._boundary_xy
+    coarse = slice(0, BOUNDARY_SAMPLES, COARSE_STRIDE)
     lengths = path._cell_lengths
-    fc = np.abs(np.hypot(cx - px, cy - py) - radius)
+    fc = np.abs(np.hypot(x[coarse] - px, y[coarse] - py) - radius)
     cells = np.flatnonzero(fc <= lengths + CIRCLE_SCAN_SLACK * (fc + lengths + radius))
     # Samples 32c ... 32c+32 of each scanned cell; the sample after the last
     # is sample 0 again on closed paths, NaN on open ones.
     j = (COARSE_STRIDE * cells)[:, None] + np.arange(COARSE_STRIDE + 1)
-    x, y = path._boundary_xy
     f = np.hypot(x[j] - px, y[j] - py) - radius
     fa, fb = f[:, :-1], f[:, 1:]
     hit = (fa == 0.0) | (fa * fb < 0.0)

@@ -139,18 +139,12 @@ class ImplicitPath:
     def _boundary_xy(self):
         """Contiguous x and y of the boundary samples and one more: sample 0
         again on closed paths, NaN on open ones, so that samples j and j + 1
-        are neighbours on the path for every j < BOUNDARY_SAMPLES."""
+        are neighbours on the path for every j < BOUNDARY_SAMPLES.  The
+        coarse samples, the projection seeds and the circle scan read their
+        coordinates from these two arrays."""
         pts = self._boundary_pts
         after = pts[:1] if self.closed else np.full((1, 2), np.nan)
         x, y = np.ascontiguousarray(np.concatenate((pts, after)).T)
-        return x, y
-
-    @cached_property
-    def _seed_xy(self):
-        """Contiguous x and y of the PROJECTION_SEEDS projection seeds, every
-        (BOUNDARY_SAMPLES // PROJECTION_SEEDS)-th boundary sample."""
-        seeds = self._boundary_pts[:: BOUNDARY_SAMPLES // PROJECTION_SEEDS]
-        x, y = np.ascontiguousarray(seeds.T)
         return x, y
 
     @cached_property
@@ -173,17 +167,17 @@ class ImplicitPath:
         32k-32 ... 32k+64 in that order, one contiguous row of a sliding
         window.
         """
-        pts = self._boundary_pts
+        x, y = self._boundary_xy
         pad = np.arange(-COARSE_STRIDE, BOUNDARY_SAMPLES + 2 * COARSE_STRIDE)
         if self.closed:
             pad = np.mod(pad, BOUNDARY_SAMPLES)
         else:
             pad = np.clip(pad, 0, BOUNDARY_SAMPLES - 1)
-        xy = np.ascontiguousarray(pts[pad].T)
+        xy = np.stack((x[pad], y[pad]))
         wx, wy = sliding_window_view(xy, 3 * COARSE_STRIDE + 1,
                                      axis=-1)[:, ::COARSE_STRIDE]
-        cx, cy = np.ascontiguousarray(pts[::COARSE_STRIDE].T)
-        return cx, cy, wx, wy, pad
+        coarse = slice(0, BOUNDARY_SAMPLES, COARSE_STRIDE)
+        return x[coarse], y[coarse], wx, wy, pad
 
     def nearest_boundary(self, pts):
         """Distance and sample index of the nearest boundary sample.

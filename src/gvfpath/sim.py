@@ -257,28 +257,21 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
 
 def _unicycle_command(steers, group, u_r, dt):
     """Command for (x, y, alpha) rows, run i turned by steers[group[i]] at
-    forward speed u_r (a float, or one per run).
+    forward speed u_r.
 
     Each steer(x, y, alpha) returns (e, singular, infeasible, diag) with the
     turn rate in diag["omega"], which the RK4 advance holds over the step.
     group must be sorted, so that each steer's active rows are one slice.
     """
-    per_run = np.ndim(u_r) > 0
 
     def command(state, ids):
         x, y, alpha = state.T
-        if len(steers) == 1:
-            e, singular, infeasible, diag = steers[0](x, y, alpha)
-        else:
-            e, singular, infeasible, diag = _steer_slices(steers, group[ids],
-                                                          x, y, alpha)
+        e, singular, infeasible, diag = _steer_slices(steers, group[ids], x, y, alpha)
         omega = diag["omega"]
-        speed = u_r[ids] if per_run else u_r
 
         def advance(keep):
             return np.array(_rk4_step(x[keep], y[keep], alpha[keep],
-                                      speed[keep] if per_run else speed,
-                                      omega[keep], dt)).T
+                                      u_r, omega[keep], dt)).T
 
         return (e, singular, infeasible,
                 {"x": x, "y": y, "alpha": alpha, **diag}, advance)
@@ -380,8 +373,8 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
     was not needed for the convergence test).
     """
     poses0 = np.asarray(poses0, dtype=float).reshape(-1, 3)
-    command = _unicycle_command([_gvf_steer(path, errmap, params)], None,
-                                params.u_r, dt)
+    command = _unicycle_command([_gvf_steer(path, errmap, params)],
+                                np.zeros(len(poses0), dtype=int), params.u_r, dt)
     code, t_final, fin, e, dist = _run(command, path, poses0, dt, t_max, stop,
                                        critical_points, record,
                                        record_dist=record is not None)
@@ -439,30 +432,31 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
     """
     if len(controllers) != len(poses):
         raise ValueError(f"{len(controllers)} controllers for {len(poses)} poses")
-    index, speeds = {}, []
+    index, speeds = {}, set()
     for controller in controllers:
         if isinstance(controller, gvf.GvfParams):
             if u_r is not None and u_r != controller.u_r:
                 raise ValueError("u_r is carried by GvfParams; do not pass both")
-            speeds.append(controller.u_r)
+            speeds.add(controller.u_r)
         elif isinstance(controller, (ctl.LosParams, ctl.NglParams)):
             if u_r is None or u_r <= 0.0:
                 raise ValueError("baseline controllers need a positive u_r")
             if not path.has_parametric:
                 raise PathError("baseline controllers require a parametric path")
-            speeds.append(u_r)
+            speeds.add(u_r)
         else:
             raise TypeError(f"unsupported controller {controller!r}")
         index.setdefault(controller, len(index))
+    if len(speeds) > 1:
+        raise ValueError(f"the runs of one batch share one forward speed, "
+                         f"not {sorted(speeds)}")
+    speed = next(iter(speeds), None)  # None only for an empty batch
     steers = [_gvf_steer(path, errmap, c) if isinstance(c, gvf.GvfParams)
               else _baseline_steer(path, errmap, c, u_r) for c in index]
     # The batch runs sorted by controller, so that the active rows of each
     # controller are one slice; run j of the batch is pose order[j].
     group = np.array([index[c] for c in controllers], dtype=int)
     order = np.argsort(group, kind="stable")
-    # One speed for the whole batch keeps the advance's arithmetic scalar.
-    speed = (speeds[0] if len(set(speeds)) == 1
-             else np.array(speeds, dtype=float)[order])
     state = np.array([[p.x, p.y, p.alpha] for p in poses]).reshape(-1, 3)[order]
     rec = _RowRecorder(len(state))
     code, t_final, *_ = _run(_unicycle_command(steers, group[order], speed, dt),

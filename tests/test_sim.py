@@ -353,16 +353,6 @@ def test_mixed_controller_batch_equals_single_runs(ellipse, identity, exp_params
     assert "(600.0, 350.0) is ambiguous" in details[3]
     assert "(600.0, 250.0) does not intersect" in details[5]
 
-    # GVF runs at two speeds: the advance takes each run's own u_r.
-    slow = GvfParams(k_n=3.0, k_delta=2.0, u_r=30.0)
-    controllers = [exp_params, slow, slow]
-    poses = [start, start, Pose(980.0, 350.0, -1.4)]
-    kw = dict(dt=0.005, t_max=1.0)
-    batch = _simulate_runs(ellipse, identity, controllers, poses, **kw)
-    _assert_same_runs(batch, [simulate(ellipse, identity, c, p, **kw)
-                              for c, p in zip(controllers, poses)])
-    assert batch[0].x[-1] != batch[1].x[-1]
-
 
 def test_simulate_runs_checks_every_controller(ellipse, identity, exp_params):
     los = LosParams(lookahead=70.0, k_los=2.0)
@@ -373,6 +363,10 @@ def test_simulate_runs_checks_every_controller(ellipse, identity, exp_params):
     with pytest.raises(ValueError, match="do not pass both"):
         _simulate_runs(ellipse, identity, [los, exp_params], [start, start],
                        dt=0.005, t_max=1.0, u_r=40.0)
+    slow = GvfParams(k_n=3.0, k_delta=2.0, u_r=30.0)
+    with pytest.raises(ValueError, match="share one forward speed"):
+        _simulate_runs(ellipse, identity, [exp_params, slow], [start, start],
+                       dt=0.005, t_max=1.0)
     with pytest.raises(ValueError, match="2 controllers for 1 poses"):
         _simulate_runs(ellipse, identity, [los, los], [start], dt=0.005,
                        t_max=1.0, u_r=50.0)

@@ -239,10 +239,7 @@ class ImplicitPath:
             f, gx, gy = jet[:3]
             r, rx, ry = side(q, jet)
             det = gx * ry - gy * rx
-            if det.all():
-                inv = 1.0 / det
-            else:
-                inv = np.divide(1.0, det, out=np.zeros_like(det), where=det != 0.0)
+            inv = np.divide(1.0, det, out=np.zeros_like(det), where=det != 0.0)
             qx -= (ry * f - gy * r) * inv
             qy -= (gx * r - rx * f) * inv
         return q

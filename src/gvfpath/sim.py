@@ -27,9 +27,10 @@ non-regular row is never stepped.  All of a scenario's initial poses run as
 one batch, each run's rows recorded into one shared buffer; `simulate` is
 that batch with one pose, and its Trajectory is bit-identical to the same
 pose's in any batch, since every step is elementwise per row.  A batch may
-mix controllers: the command steers the active rows of each controller
-together, as one slice, and a controller that owns every active row gets
-them unsliced.  The GVF / LOS / NGL comparison runs as one such batch.
+mix controllers that share one forward speed: the command steers the active
+rows of each controller together, as one slice, and a controller that owns
+every active row gets them unsliced.  The GVF / LOS / NGL comparison runs
+as one such batch.
 
 Every dynamical outcome is an event, not an exception: runs end with
 GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or

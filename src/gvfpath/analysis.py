@@ -16,6 +16,9 @@ The invariant set for the closed loop is
 
 with e_c the minimum of |e| over critical points (+inf when there are none).
 Runs starting in M satisfy |e(t)| <= max(|e(0)|, |tan delta(0)| / k_n).
+
+The viability report bounds the distance from a start to {|e| >= e_c} inside
+the path's working region from below, by a Lipschitz constant of e there.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field as gvf
-from .util import bisect_root
 
 # The critical-point search seeds Newton from a GRID_N x GRID_N lattice and
 # merges roots closer than MERGE_RADIUS (Px).
@@ -182,7 +184,6 @@ class ViabilityReport:
     guaranteed: bool
 
 
-VIABILITY_RASTER = 512
 # Poses sampled inside M keep |e| and |delta| below this fraction of their
 # bounds.
 SAMPLE_MARGIN = 0.98
@@ -191,9 +192,10 @@ SAMPLE_MARGIN = 0.98
 def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None):
     """Finite-time capture test of the invariant set from an initial pose.
 
-    d0 is a lower bound on the distance from pose0 to {|e| >= e_c}: from the
-    Lipschitz constant of e when given, else measured on a raster of the
-    path's working region.  The capture bounds are
+    d0 = (e_c - |e(pose0)|) / L is a lower bound on the distance from pose0,
+    which must lie in the path's (convex) working region, to {|e| >= e_c}
+    within that region, where e is L-Lipschitz: L is lipschitz_c when given,
+    else errmap.psi_prime_sup() * path.grad_sup().  The capture bounds are
 
         rhs_1 = (u_r/k_delta) ln(|delta(0)| / arctan(k_n e_c))   (0 if already
                 inside the heading band)
@@ -202,16 +204,17 @@ def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None):
     and the convergence guarantee holds when d0 > rhs_1.
     """
     p0 = np.array([pose0.x, pose0.y])
+    if not path.region.contains(p0):
+        raise ValueError(f"pose0 lies outside the working region {path.region}")
     e0 = float(errmap.psi(path.phi(p0)))
     if not abs(e0) < e_c:
         raise ValueError(f"|e(pose0)| = {abs(e0):.6g} must be below e_c = {e_c:.6g}")
 
-    if lipschitz_c is not None:
-        if not lipschitz_c > 0.0:
-            raise ValueError("lipschitz_c must be positive")
-        d0 = (e_c - abs(e0)) / lipschitz_c
-    else:
-        d0 = _raster_viability_distance(path, errmap, p0, e_c)
+    if lipschitz_c is None:
+        lipschitz_c = errmap.psi_prime_sup() * path.grad_sup()
+    elif not lipschitz_c > 0.0:
+        raise ValueError("lipschitz_c must be positive")
+    d0 = (e_c - abs(e0)) / lipschitz_c
 
     st = gvf.steering_arrays(path, errmap, params, pose0.x, pose0.y, pose0.alpha)
     if not bool(st["regular"]):
@@ -227,27 +230,6 @@ def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None):
         rhs_viability_2=float(rhs2),
         guaranteed=bool(d0 > rhs1),
     )
-
-
-def _raster_viability_distance(path, errmap, p0, e_c):
-    if not math.isfinite(e_c):
-        return math.inf
-    nodes = path.region.grid(VIABILITY_RASTER, VIABILITY_RASTER)
-    e = np.abs(errmap.psi(path.phi(nodes)))
-    bad = nodes[e >= e_c]
-    if len(bad) == 0:
-        return math.inf
-    d2 = np.sum((bad - p0) ** 2, axis=1)
-    target = bad[np.argmin(d2)]
-
-    # Refine along the segment toward the nearest offending node: the first
-    # crossing of |e| = e_c bounds the viability distance from below.
-    def f(t):
-        q = p0 + t * (target - p0)
-        return abs(float(errmap.psi(path.phi(q)))) - e_c
-
-    t_star = bisect_root(f, 0.0, 1.0)
-    return float(t_star * np.hypot(*(target - p0)))
 
 
 def sample_invariant_set(path, errmap, k_n, e_c, n, rng):

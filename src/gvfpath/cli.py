@@ -290,7 +290,7 @@ def write_critical_report(scn, out_file):
 
 
 def run_self_checks(verbose=True):
-    """Derivative and field-identity self-tests on the built-in paths."""
+    """Derivative, field-identity and gradient-bound checks on the built-in paths."""
     from .paths import CassiniPath, EllipsePath, IdentityMap, LinePath
 
     rng = np.random.default_rng(20260808)
@@ -325,6 +325,9 @@ def run_self_checks(verbose=True):
         mnorm = np.abs(np.hypot(fs["m_d"][r, 0], fs["m_d"][r, 1]) - 1.0)
         worst = max(lhs.max(), rhs.max(), mnorm.max())
         report(f"field identities[{name}]", worst < 1e-10, f"max rel err {worst:.3g}")
+        seen, bound = fs["n_norm"].max(), path.grad_sup()
+        report(f"gradient bound[{name}]", seen <= bound * (1.0 + 1e-12),
+               f"max |grad phi| {seen:.6g} <= {bound:.6g}")
     return ok
 
 

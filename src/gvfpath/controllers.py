@@ -192,14 +192,14 @@ def _circle_intersections(path, center, radius):
     f = np.hypot(x[j] - px, y[j] - py) - radius
     fa, fb = f[:, :-1], f[:, 1:]
     hit = (fa == 0.0) | (fa * fb < 0.0)
-    if not path.closed:
-        # No bracket starts at the last sample of an open path.
-        hit[:, -1] &= j[:, -2] < BOUNDARY_SAMPLES - 1
     fa, fb = fa[hit], fb[hit]
     k = j[:, :-1][hit]
     pts = path._boundary_pts
     a, b = pts[k], pts[(k + 1) % BOUNDARY_SAMPLES]
     t = fa / (fa - fb)
+    if not path.closed:
+        # A bracket at the last sample (fb is NaN past it) is a zero there.
+        t[k == BOUNDARY_SAMPLES - 1] = 0.0
 
     def side(q, jet):
         dx, dy = q[:, 0] - px, q[:, 1] - py

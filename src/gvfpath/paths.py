@@ -128,6 +128,13 @@ class ImplicitPath:
         h[..., 1, 1] = hyy
         return h
 
+    def grad_sup(self):
+        """A bound on |grad phi| over the working region: here its largest
+        corner value, the supremum when the gradient is affine (|grad phi|
+        is then convex); other paths override it."""
+        _, gx, gy = self.jet(self.region.grid(2, 2), 1)
+        return float(np.max(np.hypot(gx, gy)))
+
     # -- distance to the zero set ------------------------------------------
 
     @cached_property
@@ -341,12 +348,10 @@ class ImplicitPath:
         nodes = np.stack([gx, gy], axis=-1)
         ph = self.phi(nodes)
         segs = []
-        for a, b in (
-            (nodes[:-1, :, :], nodes[1:, :, :]),
-            (nodes[:, :-1, :], nodes[:, 1:, :]),
+        for a, b, fa, fb in (
+            (nodes[:-1, :, :], nodes[1:, :, :], ph[:-1, :], ph[1:, :]),
+            (nodes[:, :-1, :], nodes[:, 1:, :], ph[:, :-1], ph[:, 1:]),
         ):
-            fa = self.phi(a)
-            fb = self.phi(b)
             cross = (fa == 0.0) | (fa * fb < 0.0)
             if np.any(cross):
                 segs.append((a[cross], b[cross], fa[cross], fb[cross]))
@@ -536,6 +541,15 @@ class CassiniPath(ImplicitPath):
                     4.0 * self.k_s * (plus + 2.0 * dy2))
         return out
 
+    def grad_sup(self):
+        """A bound on |grad phi| over the working region, from |dx| <= X,
+        |dy| <= Y and dx^2 + dy^2 <= r2 = X^2 + Y^2 there."""
+        r = self.region
+        X = max(abs(r.xmin - self.x0), abs(r.xmax - self.x0))
+        Y = max(abs(r.ymin - self.y0), abs(r.ymax - self.y0))
+        r2, q2 = X * X + Y * Y, self.q**2
+        return 4.0 * self.k_s * math.hypot(X * max(r2 - q2, q2), Y * (r2 + q2))
+
     def point(self, s):
         th = -TWO_PI * np.asarray(s, dtype=float)
         c2 = np.cos(2.0 * th)
@@ -608,6 +622,16 @@ class PolynomialPath(ImplicitPath):
                 acc += c * xp[i] * yp[j]
             out.append(acc)
         return tuple(out)
+
+    def grad_sup(self):
+        """A bound on |grad phi| over the working region: each gradient
+        term c x^i y^j is at most |c| X^i Y^j there, with |x| <= X, |y| <= Y."""
+        r = self.region
+        X = max(abs(r.xmin), abs(r.xmax))
+        Y = max(abs(r.ymin), abs(r.ymax))
+        gx, gy = (sum(abs(c) * X**i * Y**j for i, j, c in terms)
+                  for terms in self._tables[1:3])
+        return math.hypot(gx, gy)
 
 
 PATH_KINDS = {"line": LinePath, "circle": CirclePath, "ellipse": EllipsePath,

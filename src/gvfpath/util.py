@@ -1,5 +1,5 @@
-"""Shared numeric helpers: angle wrapping, working regions, scalar
-bisection, parameter checks."""
+"""Shared numeric helpers: angle wrapping, working regions, parameter
+checks."""
 
 from __future__ import annotations
 
@@ -99,26 +99,3 @@ class Region:
 # image padded by a factor of two about its center.
 WORKSPACE = Region(0.0, 1280.0, 0.0, 720.0)
 PADDED_WORKSPACE = WORKSPACE.padded(2.0)
-
-BISECT_ITERS = 60
-
-
-def bisect_root(f, a, b):
-    """Bisection root of f on [a, b] assuming a sign change; returns midpoint."""
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValueError("no sign change on bracket")
-    for _ in range(BISECT_ITERS):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)

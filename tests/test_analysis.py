@@ -5,11 +5,15 @@ import pytest
 
 from gvfpath import (
     ArctanPower,
+    CassiniPath,
     CirclePath,
     Classification,
+    EllipsePath,
     GvfParams,
+    IdentityMap,
     PolynomialPath,
     Pose,
+    RationalSignPower,
     classify_critical_point,
     critical_error_threshold,
     find_critical_points,
@@ -171,6 +175,66 @@ def test_viability_requires_error_below_threshold(ellipse, identity, exp_params)
     with pytest.raises(ValueError):
         viability_check(ellipse, identity, Pose(1200.0, 680.0, 0.0), 1.6,
                         exp_params)
+
+
+def test_viability_not_guaranteed_next_to_the_center(ellipse, identity,
+                                                     exp_params):
+    # The center, where |e| = e_c = 1.6, lies 5 Px from the start, and the
+    # heading term needs rhs_1 = 20.75 Px.
+    m_d = field_arrays(ellipse, identity, exp_params.k_n, (605.0, 350.0))["m_d"]
+    pose = Pose(605.0, 350.0, compose_heading(m_d, math.pi - 0.01))
+    rep = viability_check(ellipse, identity, pose, 1.6, exp_params)
+    assert rep.rhs_viability_1 == pytest.approx(20.752340, abs=1e-5)
+    assert rep.d0_lower_bound <= 5.0
+    assert not rep.guaranteed
+
+
+def test_viability_rejects_pose_outside_region(line_y0, identity, exp_params):
+    # The bound on |grad phi| holds inside the working region only; the line
+    # has no critical points, so e_c = inf admits every other start.
+    assert viability_check(line_y0, identity, Pose(0.0, 1070.0, 0.0), math.inf,
+                           exp_params).guaranteed
+    with pytest.raises(ValueError, match="outside the working region"):
+        viability_check(line_y0, identity, Pose(0.0, 1090.0, 0.0), math.inf,
+                        exp_params)
+
+
+def _brute_force_viability_distance(path, errmap, p0, e_c):
+    """The nearest point with |e| >= e_c along 360 rays from p0, marched in
+    0.25 Px steps up to 300 Px inside the working region (+inf if none)."""
+    ang = np.radians(np.arange(360.0))
+    r = 0.25 * np.arange(1, 1201)
+    pts = p0 + r[:, None, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    bad = np.abs(errmap.psi(path.phi(pts))) >= e_c
+    bad &= path.region.contains(pts)
+    return float(np.min(np.broadcast_to(r[:, None], bad.shape)[bad],
+                        initial=math.inf))
+
+
+@pytest.mark.parametrize("path", [
+    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+    CirclePath(640.0, 360.0, 250.0, k_s=1e-5),
+    PolynomialPath(terms=((2, 0, 1e-5), (1, 0, -0.012), (0, 2, 4e-5),
+                          (0, 1, -0.028), (0, 0, 6.9), (3, 0, 1e-9))),
+], ids=["ellipse", "cassini", "circle", "polynomial"])
+@pytest.mark.parametrize("errmap", [IdentityMap(), ArctanPower(2.0),
+                                    RationalSignPower(2.0)],
+                         ids=["identity", "arctan", "rational"])
+def test_viability_distance_is_a_lower_bound(path, errmap, exp_params):
+    e_c = critical_error_threshold(path, errmap, find_critical_points(path).points)
+    rng = np.random.default_rng(20261020)
+    pts = path.region.sample(rng, 400)
+    pts = pts[np.abs(errmap.psi(path.phi(pts))) < e_c][:6]
+    assert len(pts) == 6
+    found = 0
+    for x, y in pts:
+        d0 = viability_check(path, errmap, Pose(x, y, 0.0), e_c,
+                             exp_params).d0_lower_bound
+        d_star = _brute_force_viability_distance(path, errmap, np.array([x, y]), e_c)
+        assert 0.0 < d0 <= d_star
+        found += d_star < math.inf
+    assert found
 
 
 def test_viability_lipschitz_bound_circle(identity):

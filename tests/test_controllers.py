@@ -309,12 +309,13 @@ def _full_scan_circle_intersections(path, center, radius):
     reference for the coarse-cell pruning of _circle_intersections."""
     pts = path._boundary_pts
     f = np.hypot(*(pts - center).T) - radius
-    if path.closed:
-        f = np.concatenate((f, f[:1]))
+    f = np.concatenate((f, f[:1] if path.closed else [np.nan]))
     fa, fb = f[:-1], f[1:]
     k = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
     a, b = pts[k], pts[(k + 1) % len(pts)]
     t = fa[k] / (fa[k] - fb[k])
+    if not path.closed:
+        t[k == len(pts) - 1] = 0.0
     cx, cy = center
 
     def side(q, jet):
@@ -340,8 +341,8 @@ def test_pruned_circle_scan_matches_full_scan(path, rng):
             (p, path.distance(p) + 1e-12),      # near-tangent at the foot point
             (p, float(np.hypot(*(pts[k] - p)))),  # through sample k exactly
         ]
-    # Circles through the ends of the sample range: on the open line, no
-    # bracket starts at the last sample.
+    # Circles through the ends of the sample range: on the open line, a zero
+    # at the last sample is a crossing with nothing after it.
     for p in PADDED_WORKSPACE.sample(rng, 20):
         cases += [(p, float(np.hypot(*(pts[-1] - p)))),
                   (p, float(np.hypot(*(pts[0] - p))))]
@@ -365,3 +366,14 @@ def test_pruned_circle_scan_matches_full_scan(path, rng):
         exact += bool(np.any(f == 0.0))
         empty += not len(s)
     assert exact >= 150 and empty >= 150
+
+
+def test_circle_crossing_on_last_sample_of_open_path():
+    # The circle passes through the line's last boundary sample (1919.375,
+    # 300) and crosses it again at x = 1859.375.
+    line = LinePath(0.0, 1.0, -300.0)
+    assert np.array_equal(line._boundary_pts[-1], [1919.375, 300.0])
+    q, s = _circle_intersections(line, np.array([1889.375, 340.0]), 50.0)
+    assert q[:, 0].tolist() == [1859.375, 1919.375]
+    assert np.all(q[:, 1] == 300.0)
+    assert s[0] < s[1]

@@ -304,6 +304,19 @@ def test_jet_orders_and_views_agree_bitwise(path):
             axis=-2))
 
 
+@ALL_KINDS
+def test_grad_sup_bounds_the_gradient_over_the_region(path):
+    # Against the largest |grad phi| on a dense grid of the working region,
+    # with a relative slack for rounding (the Cassini closed form can land
+    # one ulp under the grid's maximum).  Only the polynomial's term-wise
+    # bound is loose; the others are attained at a corner.
+    _, gx, gy = path.jet(path.region.grid(801, 801), 1)
+    grid_max = float(np.max(np.hypot(gx, gy)))
+    assert path.grad_sup() >= grid_max * (1.0 - 1e-12)
+    if not isinstance(path, PolynomialPath):
+        assert path.grad_sup() <= grid_max * (1.0 + 1e-12)
+
+
 def test_contour_distance_many_matches_reference():
     circle = PolynomialPath(terms=((2, 0, 1.0), (0, 2, 1.0), (0, 0, -1.0)),
                             region=Region(-2.0, 2.0, -2.0, 2.0))

@@ -125,14 +125,14 @@ def find_critical_points(path, region=None):
 def classify_critical_point(path, errmap, k_n, location):
     """Classification of a verified critical point from the signs of e*H."""
     loc = np.asarray(location, dtype=float)
-    g = path.grad(loc)
-    if np.hypot(g[0], g[1]) >= 1e-9:
+    ph, gx, gy, hxx, hxy, hyy = path.jet(loc, 2)
+    if np.hypot(gx, gy) >= 1e-9:
         raise ValueError(
             f"({loc[0]}, {loc[1]}) is not a critical point: |grad| = "
-            f"{np.hypot(g[0], g[1]):.3g}"
+            f"{np.hypot(gx, gy):.3g}"
         )
-    e = float(errmap.psi(path.phi(loc)))
-    h = path.hess(loc)
+    e = float(errmap.psi(ph))
+    h = np.array([[hxx, hxy], [hxy, hyy]], dtype=float)
     eigs = np.linalg.eigvalsh(h)
     eh_eigs = np.sort(e * eigs)
     neg = int(np.sum(eh_eigs < 0.0))

@@ -13,6 +13,13 @@ The guiding-field law omega = omega_d - k_delta * delta lives in
   robot's nearest boundary sample, not from a projection, so NGL never
   raises AmbiguousProjectionError; only LOS projects.
 
+Both baselines find their candidates (the projection's local minima, the
+circle's crossings) with a numpy scan of the cached boundary samples, then
+refine each candidate by the path's on-curve Newton on Python floats.  A
+query has one to three candidates, and on arrays that short numpy's fixed
+cost per call, not the arithmetic, would be the whole cost of the Newton
+steps; the float steps give the same bits as the array steps.
+
 Angle differences are wrapped to (-pi, pi] before multiplying by gains.
 Curvature is signed for the chosen traversal direction (negative when the
 built-in closed paths are followed forward, i.e. clockwise).
@@ -130,7 +137,7 @@ def project_to_path(path, point, direction=Direction.FORWARD):
         )
 
     proj = q[best]
-    _, gx, gy, hxx, hxy, hyy = path.jet(proj, 2)
+    _, gx, gy, hxx, hxy, hyy = path.jet_xy(*proj.tolist(), 2)
     nn = math.hypot(gx, gy)
     tangent = np.array([gy, -gx]) / nn
     curv = _signed_curvature(gx, gy, hxx, hxy, hyy)
@@ -169,8 +176,9 @@ def _circle_intersections(path, center, radius):
 
     A sign-change scan of f = |sample - center| - radius over the 4096 cached
     boundary samples brackets each crossing; Newton on phi(q) = 0 with the
-    circle condition |q - center|^2 = radius^2 then refines all of them at
-    once, started at the chord crossing of each bracket.
+    circle condition |q - center|^2 = radius^2 then refines each of them,
+    started at the chord crossing of its bracket, or at its first sample
+    where f is 0 there.
 
     The scan is pruned to coarse cells.  The distance to the center is
     1-Lipschitz along the sample polyline, so within a cell of polyline
@@ -180,7 +188,7 @@ def _circle_intersections(path, center, radius):
     cells are scanned sample by sample with the same arithmetic, so the
     brackets, in order, are those of the full scan.
     """
-    px, py = center
+    px, py = map(float, center)
     x, y = path._boundary_xy
     coarse = slice(0, BOUNDARY_SAMPLES, COARSE_STRIDE)
     lengths = path._cell_lengths
@@ -196,16 +204,15 @@ def _circle_intersections(path, center, radius):
     k = j[:, :-1][hit]
     pts = path._boundary_pts
     a, b = pts[k], pts[(k + 1) % BOUNDARY_SAMPLES]
-    t = fa / (fa - fb)
-    if not path.closed:
-        # A bracket at the last sample (fb is NaN past it) is a zero there.
-        t[k == BOUNDARY_SAMPLES - 1] = 0.0
+    # A zero at sample a starts there: also when the next sample is a zero
+    # too, or lies past the last sample of an open path (fb is NaN).
+    t = np.divide(fa, fa - fb, out=np.zeros_like(fa), where=fa != 0.0)
 
-    def side(q, jet):
-        dx, dy = q[:, 0] - px, q[:, 1] - py
+    def side(qx, qy, jet):
+        dx, dy = qx - px, qy - py
         return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
 
-    q = path._newton_on_curve(a + t[:, None] * (b - a), side)
+    q = path._newton_rows(a + t[:, None] * (b - a), side)
     return q, path._curve_s(q)
 
 

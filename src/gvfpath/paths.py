@@ -7,11 +7,15 @@ s in [0, 1) -> point on the zero set, traversed in the same direction the
 guiding field circulates (clockwise for the closed built-ins).  Central
 finite differences are provided only as a verification oracle.
 
-Each path class writes its formulas once, in `jet(pts, order)`: phi at
-order 0, plus the gradient (gx, gy) at order 1, plus the Hessian entries
-(hxx, hxy, hyy) at order 2, with shared subexpressions computed once.
-`phi`, `grad` and `hess` are views of it, and callers that need several of
-these quantities make one call at the order they need.
+Each path class writes its formulas once, in `jet_xy(x, y, order)`: phi
+at order 0, plus the gradient (gx, gy) at order 1, plus the Hessian entries
+(hxx, hxy, hyy) at order 2, with shared subexpressions computed once.  The
+formulas use only + - * / and the path's own parameters, so x and y may be
+Python floats or arrays of one shape, with the same bits either way.
+`jet(pts, order)` is the view of it on points (..., 2), `phi`, `grad` and
+`hess` are views of that, and callers that need several of these quantities
+make one call at the order they need.  The on-curve Newton, `_newton_xy`,
+likewise serves one point on floats or many as arrays.
 
 The tracking error is e = psi(phi) for a strictly increasing psi with
 psi(0) = 0; three families are provided (identity, arctan of a signed power,
@@ -88,7 +92,7 @@ class ImplicitPath:
     instances are immutable and safe to share across threads.  region is the
     working region: a field of the line and polynomial paths, the padded
     workspace for the others.  Each subclass writes its formulas once, in
-    jet; phi, grad and hess are views of it.
+    jet_xy; jet, phi, grad and hess are views of it.
     """
 
     closed = False
@@ -98,14 +102,20 @@ class ImplicitPath:
     def has_parametric(self):
         return hasattr(self, "point")
 
-    def jet(self, pts, order):
+    def jet_xy(self, x, y, order):
         """(phi,) at order 0, (phi, gx, gy) at order 1 and (phi, gx, gy,
-        hxx, hxy, hyy) at order 2, at the points pts (..., 2).
+        hxx, hxy, hyy) at order 2, at the points (x, y): two floats, or two
+        arrays of one shape.
 
-        phi has the shape pts.shape[:-1]; a derivative that is constant over
-        the plane may be a float, which broadcasts against it.
+        phi has the shape of x; a derivative that is constant over the plane
+        may be a float, which broadcasts against it.
         """
         raise NotImplementedError
+
+    def jet(self, pts, order):
+        """jet_xy at the points pts (..., 2)."""
+        pts = _pts(pts)
+        return self.jet_xy(pts[..., 0], pts[..., 1], order)
 
     def phi(self, pts):
         return self.jet(pts, 0)[0]
@@ -232,24 +242,33 @@ class ImplicitPath:
             inside[miss] = dist[miss] < tol
         return inside, dist, hint
 
-    def _newton_on_curve(self, q, side, order=1):
-        """NEWTON_ITERS 2x2 Newton steps on phi(q) = 0 and side(q, jet) = 0.
+    def _newton_xy(self, qx, qy, side, order=1):
+        """NEWTON_ITERS 2x2 Newton steps on phi = 0 and side = 0 from
+        (qx, qy): two floats, or two arrays of one shape, one start each.
 
-        jet is self.jet(q, order); side returns the residual r and its
-        gradient row (r_x, r_y) for the (m, 2) points q.  A row with a
-        singular Jacobian stays put.
+        jet is self.jet_xy(qx, qy, order); side(qx, qy, jet) returns the
+        residual r and its gradient (r_x, r_y).  A start with a singular
+        Jacobian stays put: its inverse determinant is 0 (1 / det
+        elsewhere, bit for bit), with no division by zero.
         """
-        q = np.array(q, dtype=float)
-        qx, qy = q[:, 0], q[:, 1]
         for _ in range(NEWTON_ITERS):
-            jet = self.jet(q, order)
+            jet = self.jet_xy(qx, qy, order)
             f, gx, gy = jet[:3]
-            r, rx, ry = side(q, jet)
+            r, rx, ry = side(qx, qy, jet)
             det = gx * ry - gy * rx
-            inv = np.divide(1.0, det, out=np.zeros_like(det), where=det != 0.0)
-            qx -= (ry * f - gy * r) * inv
-            qy -= (gx * r - rx * f) * inv
-        return q
+            sing = det == 0.0
+            inv = (1.0 - sing) / (det + sing)
+            qx = qx - (ry * f - gy * r) * inv
+            qy = qy - (gx * r - rx * f) * inv
+        return qx, qy
+
+    def _newton_rows(self, q0, side, order=1):
+        """_newton_xy on floats from each row of q0 (m, 2), stacked (m, 2).
+
+        The baselines refine one to a few starts per query, where a float
+        step costs a small fraction of a numpy call on a short array."""
+        return np.array([self._newton_xy(x, y, side, order)
+                         for x, y in q0.tolist()]).reshape(-1, 2)
 
     def _curve_s(self, q):
         """Parameter s of points q (m, 2) on the curve: the nearest boundary
@@ -272,15 +291,14 @@ class ImplicitPath:
         return s % 1.0 if self.closed else np.clip(s, 0.0, 1.0)
 
     @staticmethod
-    def _foot_side(p):
+    def _foot_side(px, py):
         """The foot-point condition (q - p) x grad phi(q) = 0 as a side for
-        _newton_on_curve at order 2; p is one point (2,) or one per row of
-        q (m, 2)."""
-        px, py = p[..., 0], p[..., 1]
+        _newton_xy at order 2; p = (px, py) is one point as floats, or one
+        per start as arrays."""
 
-        def side(q, jet):
+        def side(qx, qy, jet):
             _, gx, gy, hxx, hxy, hyy = jet
-            dx, dy = q[:, 0] - px, q[:, 1] - py
+            dx, dy = qx - px, qy - py
             return (dx * gy - dy * gx,
                     gy + dx * hxy - dy * hxx,
                     dx * hyy - gx - dy * hxy)
@@ -292,8 +310,8 @@ class ImplicitPath:
         q0 (m, 2) under the foot-point condition; on open paths a foot point
         past the chord's end becomes that end.
         """
-        px, py = p
-        q = self._newton_on_curve(q0, self._foot_side(p), order=2)
+        px, py = p.tolist()
+        q = self._newton_rows(q0, self._foot_side(px, py), order=2)
         s = self._curve_s(q)
         if not self.closed:
             end = (s == 0.0) | (s == 1.0)
@@ -322,8 +340,9 @@ class ImplicitPath:
             block = flat[i:i + chunk]
             d2 = _sq_dist(block[:, 0, None], block[:, 1, None], cx, cy)
             near[i:i + chunk] = d2.argmin(axis=1)
-        q = self._newton_on_curve(contour[near], self._foot_side(flat), order=2)
-        d = np.hypot(q[:, 0] - flat[:, 0], q[:, 1] - flat[:, 1])
+        px, py = flat[:, 0], flat[:, 1]
+        qx, qy = self._newton_xy(*contour[near].T, self._foot_side(px, py), order=2)
+        d = np.hypot(qx - px, qy - py)
         return d.reshape(pts.shape[:-1])
 
     def distance(self, point):
@@ -393,9 +412,8 @@ class LinePath(ImplicitPath):
         if self.a == 0.0 and self.b == 0.0:
             raise PathError("line requires (a, b) != (0, 0)")
 
-    def jet(self, p, order):
-        p = _pts(p)
-        out = (self.a * p[..., 0] + self.b * p[..., 1] + self.c,)
+    def jet_xy(self, x, y, order):
+        out = (self.a * x + self.b * y + self.c,)
         if order >= 1:
             out += (self.a, self.b)
         if order >= 2:
@@ -446,9 +464,8 @@ class CirclePath(ImplicitPath):
         _require_params("circle", dict(x0=self.x0, y0=self.y0),
                         dict(radius=self.radius, k_s=self.k_s))
 
-    def jet(self, p, order):
-        p = _pts(p)
-        dx, dy = p[..., 0] - self.x0, p[..., 1] - self.y0
+    def jet_xy(self, x, y, order):
+        dx, dy = x - self.x0, y - self.y0
         out = (self.k_s * (dx * dx + dy * dy - self.radius**2),)
         if order >= 1:
             out += (2.0 * self.k_s * dx, 2.0 * self.k_s * dy)
@@ -485,9 +502,8 @@ class EllipsePath(ImplicitPath):
         _require_params("ellipse", dict(x0=self.x0, y0=self.y0),
                         dict(R=self.R, p=self.p, q=self.q, k_s=self.k_s))
 
-    def jet(self, pt, order):
-        pt = _pts(pt)
-        dx, dy = pt[..., 0] - self.x0, pt[..., 1] - self.y0
+    def jet_xy(self, x, y, order):
+        dx, dy = x - self.x0, y - self.y0
         out = (self.k_s * (dx * dx / self.p**2 + dy * dy / self.q**2 - self.R**2),)
         if order >= 1:
             out += (2.0 * self.k_s * dx / self.p**2, 2.0 * self.k_s * dy / self.q**2)
@@ -526,9 +542,8 @@ class CassiniPath(ImplicitPath):
         if self.p <= self.q:
             raise PathError("cassini supported only in the single-loop regime p > q")
 
-    def jet(self, pt, order):
-        pt = _pts(pt)
-        dx, dy = pt[..., 0] - self.x0, pt[..., 1] - self.y0
+    def jet_xy(self, x, y, order):
+        dx, dy = x - self.x0, y - self.y0
         dx2, dy2 = dx * dx, dy * dy
         rho2 = dx2 + dy2
         q2 = self.q**2
@@ -606,14 +621,14 @@ class PolynomialPath(ImplicitPath):
         return (self.terms, dx, dy, self._diff(dx, 0), self._diff(dx, 1),
                 self._diff(dy, 1))
 
-    def jet(self, pt, order):
-        pt = _pts(pt)
-        x, y = pt[..., 0], pt[..., 1]
+    def jet_xy(self, x, y, order):
         # Each power of x and y is computed once and shared by the tables.
+        # On floats x**i is C pow, which may round unlike np.power on arrays;
+        # the polynomial is evaluated on arrays only.
         xp, yp = {}, {}
         out = []
         for terms in self._tables[:(1, 3, 6)[order]]:
-            acc = np.zeros(x.shape)
+            acc = np.zeros(np.shape(x))
             for i, j, c in terms:
                 if i not in xp:
                     xp[i] = x**i
@@ -665,8 +680,9 @@ def check_derivatives(path, point, h=None):
     )
     h_fd = np.array([[hxx, hxy], [hxy, hyy]])
 
-    g = path.grad(p)
-    hh = path.hess(p)
+    _, gx, gy, axx, axy, ayy = path.jet(p, 2)
+    g = np.array([gx, gy], dtype=float)
+    hh = np.array([[axx, axy], [axy, ayy]], dtype=float)
     err_g = np.abs(g - g_fd) / (1.0 + np.abs(g))
     err_h = np.abs(hh - h_fd) / (1.0 + np.abs(hh))
     return float(max(err_g.max(), err_h.max()))

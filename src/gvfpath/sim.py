@@ -328,23 +328,23 @@ def _baseline_steer(path, errmap, controller, u_r):
     """
 
     def steer(x, y, alpha):
-        terms = np.full((len(x), 3), np.nan)
-        infeasible = np.zeros(len(x), dtype=bool)
-        detail = {}
-        for i in range(len(x)):
-            pose = Pose(x[i], y[i], alpha[i])
+        terms, detail = [], {}
+        for i, xya in enumerate(zip(x.tolist(), y.tolist(), alpha.tolist())):
+            pose = Pose(*xya)
             try:
                 if isinstance(controller, ctl.LosParams):
                     s = ctl.los_sample(path, controller, pose, u_r)
                 else:
                     s = ctl.ngl_sample(path, controller, pose)
             except (ctl.GuidanceInfeasibleError, ctl.AmbiguousProjectionError) as exc:
-                infeasible[i] = True
                 detail[i] = str(exc)
-                continue
-            terms[i] = s.heading_error, s.feedforward, s.omega
-        e = errmap.psi(path.phi(np.column_stack([x, y])))
-        diag = dict(zip(("delta", "omega_d", "omega"), terms.T), detail=detail)
+                terms.append((math.nan,) * 3)
+            else:
+                terms.append((s.heading_error, s.feedforward, s.omega))
+        infeasible = np.zeros(len(x), dtype=bool)
+        infeasible[list(detail)] = True
+        e = errmap.psi(path.jet_xy(x, y, 0)[0])
+        diag = dict(zip(("delta", "omega_d", "omega"), np.array(terms).T), detail=detail)
         return e, np.zeros_like(infeasible), infeasible, diag
 
     return steer

@@ -301,7 +301,7 @@ def test_criterion_10_controller_comparison(tmp_path):
             f"overshoot gvf {gvf_o:.2f} < los {los_o:.2f}, ngl {ngl_o:.2f}; "
             f"steady ngl {rows['ngl'].steady_mean_dist:.3f} > "
             f"gvf {rows['gvf'].steady_mean_dist:.3f}",
-            time.time() - t0, 30.0)
+            time.time() - t0, 15.0)
 
 
 def test_criterion_11_viability_arithmetic():

@@ -17,7 +17,12 @@ from gvfpath import (
     Pose,
     project_to_path,
 )
-from gvfpath.controllers import _circle_intersections, los_sample, ngl_sample
+from gvfpath.controllers import (
+    _circle_intersections,
+    _signed_curvature,
+    los_sample,
+    ngl_sample,
+)
 from gvfpath.field import compose_heading, field_arrays, steering_arrays
 from gvfpath.paths import BOUNDARY_SAMPLES, COARSE_STRIDE
 from gvfpath.util import PADDED_WORKSPACE
@@ -289,6 +294,62 @@ def test_newton_refiners_match_reference(path, rng):
             assert np.hypot(*(targets[j] - path.point(s))) < 1e-4
 
 
+def _array_projection(path, p):
+    """project_to_path with every foot point refined at once, on arrays:
+    (point, s, distance, curvature, tangent), or None when it is ambiguous."""
+    seeds = path._boundary_pts[::4]
+    d_seed = np.hypot(seeds[:, 0] - p[0], seeds[:, 1] - p[1])
+    if path.closed:
+        left, right = np.roll(d_seed, 1), np.roll(d_seed, -1)
+    else:
+        left, right = np.r_[np.inf, d_seed[:-1]], np.r_[d_seed[1:], np.inf]
+    q, s, d = _array_foot_points(path, p, seeds[(d_seed <= left) & (d_seed <= right)])
+    best = np.argmin(d)
+    ds = np.abs(s - s[best])
+    if path.closed:
+        ds = np.minimum(ds, 1.0 - ds)
+    if np.min(d[ds >= 1e-6], initial=math.inf) - d[best] < 1e-6:
+        return None
+    _, gx, gy, hxx, hxy, hyy = (np.broadcast_to(c, len(q))[best]
+                                for c in path.jet(q, 2))
+    curv = _signed_curvature(gx, gy, hxx, hxy, hyy)
+    return q[best], s[best], d[best], curv, np.array([gy, -gx]) / math.hypot(gx, gy)
+
+
+def _array_foot_points(path, p, q0):
+    """path._foot_points with all starts refined at once, on arrays."""
+    side = path._foot_side(p[0], p[1])
+    q = np.column_stack(path._newton_xy(q0[:, 0], q0[:, 1], side, 2))
+    s = path._curve_s(q)
+    if not path.closed:
+        end = (s == 0.0) | (s == 1.0)
+        q[end] = path.point(s[end])
+    return q, s, np.hypot(q[:, 0] - p[0], q[:, 1] - p[1])
+
+
+@REFERENCE_PATHS
+def test_float_refinement_matches_array_reference(path, rng):
+    # project_to_path and path.distance refine each start on floats; the
+    # same Newton on arrays gives the same bits.
+    pts = np.concatenate((PADDED_WORKSPACE.sample(rng, 1000),
+                          path._boundary_pts[rng.integers(BOUNDARY_SAMPLES, size=50)]))
+    ambiguous = 0
+    for p in pts:
+        ref = _array_projection(path, p)
+        try:
+            pr = project_to_path(path, p)
+        except AmbiguousProjectionError:
+            ambiguous += 1
+            assert ref is None
+        else:
+            got = (pr.point, pr.s, pr.distance, pr.curvature, pr.tangent)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        _, k = path.nearest_boundary(p)
+        near = path._boundary_pts[k][None]
+        assert path.distance(p) == _array_foot_points(path, p, near)[2][0]
+    assert ambiguous < len(pts) // 10
+
+
 @REFERENCE_PATHS
 def test_foot_point_is_exact(path, rng):
     # The foot point q of p satisfies (q - p) x grad phi(q) = 0: its
@@ -313,16 +374,19 @@ def _full_scan_circle_intersections(path, center, radius):
     fa, fb = f[:-1], f[1:]
     k = np.flatnonzero((fa == 0.0) | (fa * fb < 0.0))
     a, b = pts[k], pts[(k + 1) % len(pts)]
-    t = fa[k] / (fa[k] - fb[k])
-    if not path.closed:
-        t[k == len(pts) - 1] = 0.0
+    # A zero at sample a starts there (fb may be a zero too, or NaN past the
+    # end of an open path).
+    t = np.zeros(len(k))
+    nz = fa[k] != 0.0
+    t[nz] = fa[k][nz] / (fa[k][nz] - fb[k][nz])
     cx, cy = center
 
-    def side(q, jet):
-        dx, dy = q[:, 0] - cx, q[:, 1] - cy
+    def side(qx, qy, jet):
+        dx, dy = qx - cx, qy - cy
         return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
 
-    q = path._newton_on_curve(a + t[:, None] * (b - a), side)
+    # All starts at once, on arrays.
+    q = np.column_stack(path._newton_xy(*(a + t[:, None] * (b - a)).T, side))
     return q, path._curve_s(q)
 
 
@@ -376,4 +440,17 @@ def test_circle_crossing_on_last_sample_of_open_path():
     q, s = _circle_intersections(line, np.array([1889.375, 340.0]), 50.0)
     assert q[:, 0].tolist() == [1859.375, 1919.375]
     assert np.all(q[:, 1] == 300.0)
+    assert s[0] < s[1]
+
+
+def test_circle_through_two_consecutive_samples():
+    # The circle passes through samples 1000 and 1001 of the line, which
+    # both have f = 0: the bracket between them starts at sample 1000, and
+    # sample 1001 is a crossing of its own.
+    line = LinePath(0.0, 1.0, -300.0)
+    a, b = line._boundary_pts[[1000, 1001]]
+    assert a.tolist() == [-15.0, 300.0] and b.tolist() == [-14.375, 300.0]
+    center = np.array([-14.6875, 340.0])
+    q, s = _circle_intersections(line, center, float(np.hypot(*(a - center))))
+    assert q.tolist() == [[-15.0, 300.0], [-14.375, 300.0]]
     assert s[0] < s[1]

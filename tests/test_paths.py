@@ -304,6 +304,26 @@ def test_jet_orders_and_views_agree_bitwise(path):
             axis=-2))
 
 
+@pytest.mark.parametrize("path", [
+    LinePath(1.0, 2.0, -1300.0),
+    CirclePath(640.0, 360.0, 250.0, k_s=1e-5),
+    EllipsePath(x0=600.0, y0=350.0, R=400.0, p=1.0, q=0.5, k_s=1e-5),
+    CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
+], ids=["line", "circle", "ellipse", "cassini"])
+def test_jet_xy_on_floats_equals_jet_on_arrays(path):
+    # The baselines evaluate jet_xy on Python floats; every other caller
+    # uses arrays.  Random points and points exactly on boundary samples.
+    rng = np.random.default_rng(23)
+    pts = np.concatenate((PADDED_WORKSPACE.sample(rng, 500),
+                          path._boundary_pts[rng.integers(BOUNDARY_SAMPLES, size=500)]))
+    for order in (0, 1, 2):
+        jet = [np.broadcast_to(c, len(pts)) for c in path.jet(pts, order)]
+        for i, (x, y) in enumerate(pts.tolist()):
+            one = path.jet_xy(x, y, order)
+            assert all(type(c) is float for c in one)
+            assert [c[i] for c in jet] == list(one)
+
+
 @ALL_KINDS
 def test_grad_sup_bounds_the_gradient_over_the_region(path):
     # Against the largest |grad phi| on a dense grid of the working region,
@@ -414,11 +434,12 @@ def test_error_separated_from_zero_off_path(ellipse, cassini, identity, kappa, r
         assert e.min() > 0.0
 
 
-def _circle_side(centers, radius):
-    """The condition |q - center|^2 = radius^2, one center per row."""
+def _circle_side(cx, cy, radius):
+    """The condition |q - center|^2 = radius^2, for one center (cx, cy) per
+    start: floats, or arrays of one shape."""
 
-    def side(q, jet):
-        dx, dy = q[:, 0] - centers[:, 0], q[:, 1] - centers[:, 1]
+    def side(qx, qy, jet):
+        dx, dy = qx - cx, qy - cy
         return dx * dx + dy * dy - radius * radius, 2.0 * dx, 2.0 * dy
 
     return side
@@ -440,10 +461,12 @@ def test_newton_singular_row_stays_put(path):
     centers[1] = q0[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q = path._newton_on_curve(q0, _circle_side(centers, 25.0))
-        solo = [path._newton_on_curve(q0[[i]], _circle_side(centers[[i]], 25.0))[0]
+        q = np.column_stack(path._newton_xy(*q0.T, _circle_side(*centers.T, 25.0)))
+        # On floats, one start at a time: no ZeroDivisionError either.
+        solo = [path._newton_xy(*q0[i].tolist(), _circle_side(*centers[i].tolist(), 25.0))
                 for i in range(4)]
-    assert np.array_equal(q[1], q0[1]) and np.array_equal(solo[1], q0[1])
+    assert np.array_equal(q[1], q0[1]) and solo[1] == tuple(q0[1].tolist())
+    assert all(type(c) is float for c in solo[1])
     for i in (0, 2, 3):
         assert np.array_equal(q[i], solo[i])
         assert abs(path.phi(q[i])) < 1e-3 * abs(path.phi(q0[i]))

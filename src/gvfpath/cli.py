@@ -115,12 +115,10 @@ def run_scenario(scn, out_dir):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    controller = scn.controller_params()
-    u_r = None if scn.controller == "gvf" else scn.u_r
-
-    trajs = sim._simulate_runs(scn.path, scn.errmap, [controller] * len(scn.poses),
+    trajs = sim._simulate_runs(scn.path, scn.errmap,
+                               [scn.controller_params()] * len(scn.poses),
                                [pose for _, pose in scn.poses], dt=scn.dt,
-                               t_max=scn.t_max, stop=scn.stop, u_r=u_r)
+                               t_max=scn.t_max, stop=scn.stop, u_r=scn.u_r)
     summaries = []
     for (label, _), traj in zip(scn.poses, trajs):
         write_trajectory_csv(out / f"{scn.name}_{label}.csv", traj)

@@ -158,7 +158,7 @@ def heading_error(m_d, alpha):
     """Directed angle delta in (-pi, pi] with m(alpha) = cos d m_d - sin d E m_d."""
     m_d = np.asarray(m_d, dtype=float)
     norm = math.hypot(m_d[0], m_d[1])
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ValueError(f"m_d must be a unit vector, |m_d| = {norm}")
     return float(_heading_delta(np.cos(alpha), np.sin(alpha), m_d[0], m_d[1]))
 

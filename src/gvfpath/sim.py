@@ -52,6 +52,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -170,18 +171,18 @@ def _rk4_step(x, y, alpha, u_r, omega, dt):
     return x1, y1, a_end
 
 
-def _run(command, path, state, dt, t_max, stop, critical_points,
-         record=None, record_dist=False):
+def _run(command, path, state, dt, t_max, stop, critical_points, record=None):
     """The batched time-step loop and its termination ledger.
 
     state is (B, k) with the position in its first two columns.  Each step,
     command(state, ids) returns (e, singular, infeasible, diag, advance) for
     the active rows, ids being their run indices, and advance(keep) gives
     the next state of the rows kept.
-    record(t, ids, data), if given, sees diag plus e and dist (NaN where the
-    convergence test did not need it, unless record_dist; without it, also
-    on the rows the witness decided).  Returns the ledger code (an index
-    into _KINDS), t_final, state, e and dist of every run at its termination,
+    record(t, ids, data), if given, sees diag plus e and dist, and every
+    row's dist is then searched in full.  A run that does not record needs
+    dist only where |e| < tol_e, and on a parametric path the witness
+    decides the dwell test there.  Returns the ledger code (an index into
+    _KINDS), t_final, state, e and dist of every run at its termination,
     dist from the full search wherever |e| was below tol_e at the end.
     """
     if dt <= 0.0 or t_max <= 0.0:
@@ -203,7 +204,7 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
     # One nearest-sample hint per row for the witness, compacted with ids.
-    witness = not record_dist and path.has_parametric
+    witness = record is None and path.has_parametric
     hint = np.zeros(n_runs, dtype=int)
     # dwell is 0 or a sum of dt: at least one step inside both tolerances is
     # needed to converge, also with t_dwell = 0.
@@ -221,7 +222,7 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
                 inside[near], dist[near], hint[near] = path.within_boundary(
                     state[near, :2], hint[near], stop.tol_d)
         else:
-            cand = near | record_dist
+            cand = near | (record is not None)
             if cand.any():
                 dist[cand] = path.distance_many(state[cand, :2])
             inside = dist < stop.tol_d
@@ -256,18 +257,32 @@ def _run(command, path, state, dt, t_max, stop, critical_points,
     return code, t_fin, fin, fin_e, fin_d
 
 
+_DIAG_KEYS = ("delta", "omega_d", "omega")
+
+
 def _unicycle_command(steers, group, u_r, dt):
     """Command for (x, y, alpha) rows, run i turned by steers[group[i]] at
     forward speed u_r.
 
-    Each steer(x, y, alpha) returns (e, singular, infeasible, diag) with the
-    turn rate in diag["omega"], which the RK4 advance holds over the step.
-    group must be sorted, so that each steer's active rows are one slice.
+    Each steer(ids, x, y, alpha) returns (e, singular, infeasible, diag) for
+    the runs ids, with the turn rate in diag["omega"], which the RK4 advance
+    holds over the step.  group must be sorted, so that each steer's active
+    rows are one slice; a steer that owns them all gets them unsliced and
+    hands on its whole diag, else diag holds only delta, omega_d and omega.
     """
 
     def command(state, ids):
         x, y, alpha = state.T
-        e, singular, infeasible, diag = _steer_slices(steers, group[ids], x, y, alpha)
+        g = group[ids]
+        if g[0] == g[-1]:
+            e, singular, infeasible, diag = steers[g[0]](ids, x, y, alpha)
+        else:
+            cuts = np.searchsorted(g, np.arange(len(steers) + 1)).tolist()
+            parts = [steer(ids[a:b], x[a:b], y[a:b], alpha[a:b])
+                     for steer, a, b in zip(steers, cuts, cuts[1:]) if a < b]
+            *cols, diags = zip(*parts)
+            e, singular, infeasible = map(np.concatenate, cols)
+            diag = {key: np.concatenate([d[key] for d in diags]) for key in _DIAG_KEYS}
         omega = diag["omega"]
 
         def advance(keep):
@@ -280,71 +295,57 @@ def _unicycle_command(steers, group, u_r, dt):
     return command
 
 
-_DIAG_KEYS = ("delta", "omega_d", "omega")
-
-
-def _steer_slices(steers, group, x, y, alpha):
-    """Rows sorted by steer (group): each steer turns its own slice of rows.
-
-    A steer that owns every row gets the arrays unsliced.  Otherwise the
-    merged diag holds delta, omega_d, omega and the slices' detail messages,
-    keyed by row.
-    """
-    if group[0] == group[-1]:
-        return steers[group[0]](x, y, alpha)
-    cuts = np.searchsorted(group, np.arange(len(steers) + 1)).tolist()
-    n = len(x)
-    e = np.empty(n)
-    singular, infeasible = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
-    diag = {key: np.empty(n) for key in _DIAG_KEYS}
-    detail = diag["detail"] = {}
-    for steer, a, b in zip(steers, cuts, cuts[1:]):
-        if a == b:
-            continue
-        e[a:b], singular[a:b], infeasible[a:b], part = steer(x[a:b], y[a:b], alpha[a:b])
-        for key in _DIAG_KEYS:
-            diag[key][a:b] = part[key]
-        detail.update((a + j, msg) for j, msg in part.get("detail", {}).items())
-    return e, singular, infeasible, diag
+def _steer(path, errmap, controller, u_r, detail):
+    """The steer of one controller and the forward speed of its runs.  A
+    baseline steer writes each infeasible row's message into detail under
+    the row's run id."""
+    if isinstance(controller, gvf.GvfParams):
+        if u_r is not None and u_r != controller.u_r:
+            raise ValueError("u_r is carried by GvfParams; do not pass both")
+        return _gvf_steer(path, errmap, controller), controller.u_r
+    if isinstance(controller, ctl.LosParams):
+        sample = partial(ctl.los_sample, path, controller, u_r=u_r)
+    elif isinstance(controller, ctl.NglParams):
+        sample = partial(ctl.ngl_sample, path, controller)
+    else:
+        raise TypeError(f"unsupported controller {controller!r}")
+    if u_r is None or u_r <= 0.0:
+        raise ValueError("baseline controllers need a positive u_r")
+    if not path.has_parametric:
+        raise PathError("baseline controllers require a parametric path")
+    return _baseline_steer(path, errmap, sample, detail), u_r
 
 
 def _gvf_steer(path, errmap, params):
     """Guiding-field steering; rows where the gradient vanishes are singular."""
 
-    def steer(x, y, alpha):
+    def steer(ids, x, y, alpha):
         st = gvf.steering_arrays(path, errmap, params, x, y, alpha)
-        regular = st["regular"]
-        diag = {k: st[k] for k in ("delta", "omega_d", "omega", "regular")}
-        return st["e"], ~regular, np.zeros_like(regular), diag
+        return st["e"], ~st["regular"], np.zeros(len(x), dtype=bool), st
 
     return steer
 
 
-def _baseline_steer(path, errmap, controller, u_r):
-    """LOS or NGL steering, one guidance query per row.
+def _baseline_steer(path, errmap, sample, detail):
+    """LOS or NGL steering, one guidance query sample(pose) per row.
 
     Rows without guidance are infeasible and carry NaN delta/omega_d/omega;
-    diag["detail"] maps each such row's index to its error message.
+    each such row's error message goes into detail under its run id.
     """
 
-    def steer(x, y, alpha):
-        terms, detail = [], {}
+    def steer(ids, x, y, alpha):
+        terms, infeasible = [], np.zeros(len(x), dtype=bool)
         for i, xya in enumerate(zip(x.tolist(), y.tolist(), alpha.tolist())):
-            pose = Pose(*xya)
             try:
-                if isinstance(controller, ctl.LosParams):
-                    s = ctl.los_sample(path, controller, pose, u_r)
-                else:
-                    s = ctl.ngl_sample(path, controller, pose)
+                s = sample(Pose(*xya))
             except (ctl.GuidanceInfeasibleError, ctl.AmbiguousProjectionError) as exc:
-                detail[i] = str(exc)
+                detail[int(ids[i])] = str(exc)
+                infeasible[i] = True
                 terms.append((math.nan,) * 3)
             else:
                 terms.append((s.heading_error, s.feedforward, s.omega))
-        infeasible = np.zeros(len(x), dtype=bool)
-        infeasible[list(detail)] = True
         e = errmap.psi(path.jet_xy(x, y, 0)[0])
-        diag = dict(zip(("delta", "omega_d", "omega"), np.array(terms).T), detail=detail)
+        diag = dict(zip(_DIAG_KEYS, np.array(terms).T))
         return e, np.zeros_like(infeasible), infeasible, diag
 
     return steer
@@ -363,22 +364,33 @@ class BatchResult:
     dist: np.ndarray      # nearest-boundary-sample distance at termination
 
 
+def _rows(starts, k):
+    """starts as a (B, k) float array, from B rows (B, k) or one row (k,)."""
+    starts = np.asarray(starts, dtype=float)
+    if starts.shape == (k,):
+        return starts[None]
+    if starts.ndim != 2 or starts.shape[1] != k:
+        raise ValueError(f"starts of shape {starts.shape} are not (B, {k}) or ({k},)")
+    return starts
+
+
 def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
                        stop=StopPolicy(), critical_points=None, record=None):
     """Integrate the guiding-field closed loop for a batch of initial poses.
 
-    poses0: array (B, 3) of (x, y, alpha).  `record`, if given, is called once
-    per step as record(t, ids, data) where ids are original run indices of the
-    still-active runs and data holds the per-run arrays
-    x, y, alpha, e, delta, omega_d, omega, regular, dist (dist is NaN where it
-    was not needed for the convergence test).
+    poses0: array (B, 3) of (x, y, alpha), or one pose (3,).  `record`, if
+    given, is called once per step as record(t, ids, data) where ids are
+    original run indices of the still-active runs and data holds the per-run
+    arrays x, y, alpha, dist and those of field.steering_arrays (e, delta,
+    omega_d, omega, regular, ...).
     """
-    poses0 = np.asarray(poses0, dtype=float).reshape(-1, 3)
+    if not isinstance(params, gvf.GvfParams):
+        raise TypeError(f"unsupported controller {params!r}")
+    poses0 = _rows(poses0, 3)
     command = _unicycle_command([_gvf_steer(path, errmap, params)],
                                 np.zeros(len(poses0), dtype=int), params.u_r, dt)
     code, t_final, fin, e, dist = _run(command, path, poses0, dt, t_max, stop,
-                                       critical_points, record,
-                                       record_dist=record is not None)
+                                       critical_points, record)
     return BatchResult(kind=_KINDS[code], t_final=t_final, x=fin[:, 0],
                        y=fin[:, 1], alpha=fin[:, 2], e=e, dist=dist)
 
@@ -393,8 +405,7 @@ class _RowRecorder:
 
     Runs only ever drop out of a batch, so each run's rows are its first
     n[i] steps: step k of every active run goes to buf[k].  The buffer
-    doubles when full.  A row's "detail" message, if any, is kept against
-    its run id.
+    doubles when full.
     """
 
     def __init__(self, n_runs):
@@ -402,7 +413,6 @@ class _RowRecorder:
         self.buf = np.empty((_ROWS_INITIAL, len(_ROW_KEYS), n_runs))
         self.n = np.zeros(n_runs, dtype=int)
         self.steps = 0
-        self.detail = {}
 
     def __call__(self, t, ids, data):
         k = self.steps
@@ -413,8 +423,6 @@ class _RowRecorder:
         self.buf[k][:, ids] = [data[c] for c in _ROW_KEYS]
         self.n[ids] = k + 1
         self.steps = k + 1
-        for j, msg in data.get("detail", {}).items():
-            self.detail[int(ids[j])] = msg
 
     def columns(self, i):
         n = self.n[i]
@@ -433,36 +441,23 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
     """
     if len(controllers) != len(poses):
         raise ValueError(f"{len(controllers)} controllers for {len(poses)} poses")
-    index, speeds = {}, set()
-    for controller in controllers:
-        if isinstance(controller, gvf.GvfParams):
-            if u_r is not None and u_r != controller.u_r:
-                raise ValueError("u_r is carried by GvfParams; do not pass both")
-            speeds.add(controller.u_r)
-        elif isinstance(controller, (ctl.LosParams, ctl.NglParams)):
-            if u_r is None or u_r <= 0.0:
-                raise ValueError("baseline controllers need a positive u_r")
-            if not path.has_parametric:
-                raise PathError("baseline controllers require a parametric path")
-            speeds.add(u_r)
-        else:
-            raise TypeError(f"unsupported controller {controller!r}")
-        index.setdefault(controller, len(index))
+    index = {c: i for i, c in enumerate(dict.fromkeys(controllers))}
+    detail = {}
+    made = [_steer(path, errmap, c, u_r, detail) for c in index]
+    speeds = {speed for _, speed in made}
     if len(speeds) > 1:
         raise ValueError(f"the runs of one batch share one forward speed, "
                          f"not {sorted(speeds)}")
     speed = next(iter(speeds), None)  # None only for an empty batch
-    steers = [_gvf_steer(path, errmap, c) if isinstance(c, gvf.GvfParams)
-              else _baseline_steer(path, errmap, c, u_r) for c in index]
     # The batch runs sorted by controller, so that the active rows of each
     # controller are one slice; run j of the batch is pose order[j].
     group = np.array([index[c] for c in controllers], dtype=int)
     order = np.argsort(group, kind="stable")
     state = np.array([[p.x, p.y, p.alpha] for p in poses]).reshape(-1, 3)[order]
     rec = _RowRecorder(len(state))
-    code, t_final, *_ = _run(_unicycle_command(steers, group[order], speed, dt),
-                             path, state, dt, t_max, stop, critical_points, rec,
-                             record_dist=True)
+    command = _unicycle_command([steer for steer, _ in made], group[order], speed, dt)
+    code, t_final, *_ = _run(command, path, state, dt, t_max, stop,
+                             critical_points, rec)
     details = {
         TerminationKind.CONVERGED: "|e| and path distance within tolerance "
                                    f"for {stop.t_dwell} s",
@@ -474,7 +469,7 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
     for j, kind in enumerate(_KINDS[code]):
         # Infeasible runs carry their own guidance error message.
         event = TerminationEvent(kind, float(t_final[j]),
-                                 rec.detail.get(j) or details[kind])
+                                 detail.get(j) or details[kind])
         trajs[order[j]] = Trajectory(dt=dt, termination=event, **rec.columns(j))
     return trajs
 
@@ -498,13 +493,17 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
 
 def _trace_command(path, errmap, k_n, mode, u_r, dt):
     """Classical RK4 on the raw field v or the normalized field u_r m_d."""
-
-    def velocity(v):
-        if mode is TraceMode.RAW:
+    if mode is TraceMode.RAW:
+        def velocity(v):
             return v
-        # u_r v / |v| rather than u_r * m_d: m_d is NaN where the gradient
-        # falls below eps, and a later RK4 stage may land there.
-        return u_r * v / np.maximum(np.hypot(v[..., 0], v[..., 1]), _TINY)[..., None]
+    elif mode is TraceMode.NORMALIZED:
+        def velocity(v):
+            # u_r v / |v| rather than u_r * m_d: m_d is NaN where the gradient
+            # falls below eps, and a later RK4 stage may land there.
+            return u_r * v / np.maximum(np.hypot(v[..., 0], v[..., 1]),
+                                        _TINY)[..., None]
+    else:
+        raise ValueError(f"mode must be a TraceMode, got {mode!r}")
 
     def stage(pts):
         return velocity(gvf._field_v(path, errmap, k_n, pts)[-1])
@@ -533,9 +532,10 @@ def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
     field (r' = u_r m_d) from a batch of starts; returns (labels, t_final)
     per run.
 
-    `record`, if given, is called once per step as record(t, ids, pts, e).
+    starts: array (B, 2), or one start (2,).  `record`, if given, is called
+    once per step as record(t, ids, pts, e).
     """
-    starts = np.asarray(starts, dtype=float).reshape(-1, 2)
+    starts = _rows(starts, 2)
     rec = None if record is None else (
         lambda t, ids, data: record(t, ids, data["pts"], data["e"]))
     code, t_final, *_ = _run(_trace_command(path, errmap, k_n, mode, u_r, dt),

@@ -152,6 +152,8 @@ def test_heading_error_examples():
 def test_heading_error_rejects_non_unit():
     with pytest.raises(ValueError):
         heading_error((0.5, 0.0), 0.0)
+    with pytest.raises(ValueError):
+        heading_error((math.nan, 0.0), 0.0)
 
 
 def test_heading_error_matches_steering_bitwise(cassini, identity, exp_params):

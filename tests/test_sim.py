@@ -56,6 +56,39 @@ def test_batches_reject_non_finite_starts(ellipse, identity, exp_params):
                     dt=0.005, t_max=1.0, critical_points=[])
 
 
+def test_batches_reject_mis_shaped_starts(ellipse, identity, exp_params):
+    # Three (x, y) rows are not two poses, and two (x, y, alpha) rows are not
+    # three starts; one pose (3,) or one start (2,) is a batch of one.
+    kw = dict(dt=0.005, t_max=1.0, critical_points=[])
+    with pytest.raises(ValueError, match=r"\(3, 2\) are not \(B, 3\) or \(3,\)"):
+        simulate_gvf_batch(ellipse, identity, exp_params,
+                           np.array([[900, 350], [1000, 350], [700, 300]]), **kw)
+    with pytest.raises(ValueError, match=r"\(2, 3\) are not \(B, 2\) or \(2,\)"):
+        trace_batch(ellipse, identity, 3.0, np.array([[650.0, 350.0, 0.0],
+                                                     [700.0, 300.0, 0.0]]),
+                    TraceMode.RAW, **kw)
+    one = simulate_gvf_batch(ellipse, identity, exp_params, [472.0, 311.0, 0.0768], **kw)
+    assert len(one.kind) == 1
+    labels, _ = trace_batch(ellipse, identity, 3.0, (650.0, 350.0), TraceMode.RAW, **kw)
+    assert len(labels) == 1
+    none = simulate_gvf_batch(ellipse, identity, exp_params, np.empty((0, 3)), **kw)
+    assert len(none.kind) == 0
+
+
+@pytest.mark.parametrize("controller", [LosParams(lookahead=70.0, k_los=2.0), "gvf"])
+def test_gvf_batch_rejects_other_controllers(ellipse, identity, controller):
+    with pytest.raises(TypeError, match="unsupported controller"):
+        simulate_gvf_batch(ellipse, identity, controller, [[472.0, 311.0, 0.0768]],
+                           dt=0.005, t_max=1.0, critical_points=[])
+
+
+@pytest.mark.parametrize("mode", ["bogus", "raw", None])
+def test_trace_batch_rejects_unknown_mode(ellipse, identity, mode):
+    with pytest.raises(ValueError, match="mode must be a TraceMode"):
+        trace_batch(ellipse, identity, 3.0, [(650.0, 350.0)], mode, dt=0.005,
+                    t_max=1.0, critical_points=[])
+
+
 def test_step_straight():
     assert _step(Pose(0, 0, 0), u_r=1.0, omega=0.0, dt=1.0) == Pose(1.0, 0.0, 0.0)
 
@@ -352,6 +385,25 @@ def test_mixed_controller_batch_equals_single_runs(ellipse, identity, exp_params
     details = [traj.termination.detail for traj in batch]
     assert "(600.0, 350.0) is ambiguous" in details[3]
     assert "(600.0, 250.0) does not intersect" in details[5]
+
+
+def test_baseline_slices_keep_each_runs_detail(ellipse, identity):
+    # Sorted by controller, the batch is LOS, LOS, NGL, NGL.  The ambiguous
+    # LOS run and the infeasible NGL run are each the second row of their
+    # controller's slice, so a message keyed by its row in the slice would
+    # land on the wrong run.
+    los, ngl = LosParams(lookahead=70.0, k_los=2.0), NglParams(radius=40.0, k_r=2.0)
+    start = Pose(200.0, 450.0, 0.0278)
+    runs = [(ngl, start), (los, start), (los, Pose(600.0, 350.0, 0.0)),
+            (ngl, Pose(600.0, 250.0, 0.0))]
+    controllers, poses = zip(*runs)
+    kw = dict(dt=0.005, t_max=1.0, u_r=50.0)
+    batch = _simulate_runs(ellipse, identity, controllers, poses, **kw)
+    _assert_same_runs(batch, [simulate(ellipse, identity, c, p, **kw) for c, p in runs])
+    details = [traj.termination.detail for traj in batch]
+    assert details[0] == details[1] == "t_max reached"
+    assert "(600.0, 350.0) is ambiguous" in details[2]
+    assert "(600.0, 250.0) does not intersect" in details[3]
 
 
 def test_simulate_runs_checks_every_controller(ellipse, identity, exp_params):

@@ -16,7 +16,11 @@ exact, and the tests check it against finite differences of the bearing.
 
 All public functions are pure; `field_arrays` / `steering_arrays` are the
 vectorized kernels behind every field and steering value, so a single code
-path produces every number.
+path produces every number.  Both work on x and y columns from one
+`path.jet_xy` call, with the field formula in `_field_xy` alone, and build
+(..., 2) arrays only for what they return.  Where every row is regular the
+NaN masking is skipped: `np.where` with an all-True mask returns its first
+operand, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -47,30 +51,41 @@ class GvfParams:
                          degeneracy_eps=self.degeneracy_eps)
 
 
-def _field_v(path, errmap, k_n, pts, order=1):
-    """path.jet(pts, order), e, n, tau and the unnormalized field
-    v = tau - k_n e n at pts."""
-    jet = path.jet(pts, order)
-    ph, gx, gy = jet[:3]
+def _field_xy(path, errmap, k_n, x, y, order=1):
+    """path.jet_xy(x, y, order), e and the columns vx, vy of the
+    unnormalized field v = tau - k_n e n at the points (x, y)."""
+    jet = path.jet_xy(x, y, order)
+    ph, nx, ny = jet[:3]
     e = errmap.psi(ph)
-    n = np.empty(np.shape(ph) + (2,))
-    n[..., 0] = gx
-    n[..., 1] = gy
-    tau = np.empty_like(n)
-    tau[..., 0] = gy
-    tau[..., 1] = -gx
-    return jet, e, n, tau, tau - (k_n * e)[..., None] * n
+    ke = k_n * e
+    return jet, e, ny - ke * nx, -nx - ke * ny
 
 
-def _direction(n, v, eps):
+def _grad_norm(ph, nx, ny):
+    """|n| in phi's shape: a line's gradient comes as two floats."""
+    return np.hypot(nx, ny, out=np.empty(np.shape(ph)))
+
+
+def _direction(ph, nx, ny, vx, vy, eps):
     """|n|, the regular mask |n| > eps, |v|, |v| where regular (1 elsewhere)
-    and the guiding direction m_d = v / |v| (NaN rows where not regular)."""
-    n_norm = np.hypot(n[..., 0], n[..., 1])
+    and the columns of m_d = v / |v| (NaN where not regular)."""
+    n_norm = _grad_norm(ph, nx, ny)
     regular = n_norm > eps
-    v_norm = np.hypot(v[..., 0], v[..., 1])
+    v_norm = np.hypot(vx, vy)
+    if regular.all():
+        # np.where with an all-True mask returns its first operand.
+        return n_norm, regular, v_norm, v_norm, vx / v_norm, vy / v_norm
     safe = np.where(regular, v_norm, 1.0)
-    m_d = np.where(regular[..., None], v / safe[..., None], np.nan)
-    return n_norm, regular, v_norm, safe, m_d
+    return (n_norm, regular, v_norm, safe, np.where(regular, vx / safe, np.nan),
+            np.where(regular, vy / safe, np.nan))
+
+
+def _pairs(shape, x, y):
+    """A new (*shape, 2) array with columns x and y."""
+    out = np.empty(shape + (2,))
+    out[..., 0] = x
+    out[..., 1] = y
+    return out
 
 
 def field_arrays(path, errmap, k_n, pts, eps=DEGENERACY_EPS):
@@ -80,18 +95,19 @@ def field_arrays(path, errmap, k_n, pts, eps=DEGENERACY_EPS):
     m_d rows are NaN where the field is degenerate.
     """
     pts = np.asarray(pts, dtype=float)
-    (ph, _, _), e, n, tau, v = _field_v(path, errmap, k_n, pts)
-    n_norm, regular, v_norm, _, m_d = _direction(n, v, eps)
+    (ph, nx, ny), e, vx, vy = _field_xy(path, errmap, k_n, pts[..., 0], pts[..., 1])
+    n_norm, regular, v_norm, _, mdx, mdy = _direction(ph, nx, ny, vx, vy, eps)
+    shape = np.shape(ph)
     return {
         "phi": ph,
         "e": e,
         "psi_prime": errmap.psi_prime(ph),
-        "n": n,
+        "n": _pairs(shape, nx, ny),
         "n_norm": n_norm,
-        "tau": tau,
-        "v": v,
+        "tau": _pairs(shape, ny, -nx),
+        "v": _pairs(shape, vx, vy),
         "v_norm": v_norm,
-        "m_d": m_d,
+        "m_d": _pairs(shape, mdx, mdy),
         "regular": regular,
     }
 
@@ -116,12 +132,12 @@ def steering_arrays(path, errmap, params, x, y, alpha):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    pts = np.empty(np.broadcast(x, y).shape + (2,))
-    pts[..., 0] = x
-    pts[..., 1] = y
-    (ph, nx, ny, hxx, hxy, hyy), e, n, _, v = _field_v(path, errmap, params.k_n,
-                                                       pts, order=2)
-    n_norm, regular, _, safe, m_d = _direction(n, v, params.degeneracy_eps)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    (ph, nx, ny, hxx, hxy, hyy), e, vx, vy = _field_xy(path, errmap, params.k_n,
+                                                       x, y, order=2)
+    n_norm, regular, _, safe, mdx, mdy = _direction(ph, nx, ny, vx, vy,
+                                                    params.degeneracy_eps)
     pp = errmap.psi_prime(ph)
 
     ca, sa = np.cos(alpha), np.sin(alpha)
@@ -132,21 +148,20 @@ def steering_arrays(path, errmap, params, x, y, alpha):
     vd_x = params.u_r * (hm_y - ke * hm_x) - params.k_n * e_dot * nx
     vd_y = params.u_r * (-hm_x - ke * hm_y) - params.k_n * e_dot * ny
 
-    vx, vy = v[..., 0], v[..., 1]
     v_dot_vd = vx * vd_x + vy * vd_y
     safe3 = safe**3
     mdd_x = vd_x / safe - vx * v_dot_vd / safe3
     mdd_y = vd_y / safe - vy * v_dot_vd / safe3
-    mdx, mdy = m_d[..., 0], m_d[..., 1]
     omega_d = -(mdd_x * mdy - mdd_y * mdx)
 
     delta = _heading_delta(ca, sa, mdx, mdy)
     omega = omega_d - params.k_delta * delta
-    omega = np.where(regular, omega, 0.0)
+    if not regular.all():
+        omega = np.where(regular, omega, 0.0)
     return {
         "e": e,
         "n_norm": n_norm,
-        "m_d": m_d,
+        "m_d": _pairs(np.shape(mdx), mdx, mdy),
         "delta": delta,
         "omega_d": omega_d,
         "omega": omega,

@@ -22,7 +22,11 @@ records the rows, then ends every row whose event fires, with the precedence
 where the critical event also covers the command's singular rows (a
 vanishing gradient).  The critical set is analysis.find_critical_points(path)
 unless the caller passes one, and the domain is the path's working region,
-path.region.  Ended rows are dropped before the advance, so a
+path.region.  Each command bounds its rows' speed: a unicycle and a
+normalized trace move at most u_r dt per step, a raw trace has no bound.
+So the critical-set and domain tests run only on steps when some row could
+fail one, and the outcome is the same as testing every step; singular rows
+are ended on every step.  Ended rows are dropped before the advance, so a
 non-regular row is never stepped.  All of a scenario's initial poses run as
 one batch, each run's rows recorded into one shared buffer; `simulate` is
 that batch with one pose, and its Trajectory is bit-identical to the same
@@ -41,9 +45,10 @@ inside both tolerances).  Distances used inside the loop are those of
 paths (resolution about half a sample spacing; use `path.distance` for
 refined point queries), the exact foot point on polynomials.  The dwell test
 needs only whether that distance is below tol_d: on a parametric path, unless
-distances are recorded, `path.within_boundary` decides it exactly from each
-row's nearest-sample hint and runs the full search only where the hint gives
-no witness.  A run that ends while witnessed gets its full distance.
+the closed loop records distances (a recorded trace does not),
+`path.within_boundary` decides it exactly from each row's nearest-sample
+hint and runs the full search only where the hint gives no witness.  A run
+that ends while witnessed gets its full distance.
 Non-finite starts are invalid input and raise ValueError.
 """
 
@@ -53,6 +58,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -171,22 +177,42 @@ def _rk4_step(x, y, alpha, u_r, omega, dt):
     return x1, y1, a_end
 
 
+class _Command(NamedTuple):
+    """What drives _run.
+
+    step(state, ids) returns (e, singular, infeasible, diag, advance) for
+    the active rows, ids being their run indices, and advance(keep) gives
+    the next state of the rows kept.  speed bounds how fast any row moves in
+    the plane (inf: no bound).  records_dist says whether a recorder reads
+    every row's dist.
+    """
+
+    step: Callable
+    speed: float
+    records_dist: bool
+
+
 def _run(command, path, state, dt, t_max, stop, critical_points, record=None):
     """The batched time-step loop and its termination ledger.
 
-    state is (B, k) with the position in its first two columns.  Each step,
-    command(state, ids) returns (e, singular, infeasible, diag, advance) for
-    the active rows, ids being their run indices, and advance(keep) gives
-    the next state of the rows kept.
-    record(t, ids, data), if given, sees diag plus e and dist, and every
-    row's dist is then searched in full.  A run that does not record needs
-    dist only where |e| < tol_e, and on a parametric path the witness
-    decides the dwell test there.  Returns the ledger code (an index into
-    _KINDS), t_final, state, e and dist of every run at its termination,
-    dist from the full search wherever |e| was below tol_e at the end.
+    state is (B, k) with the position in its first two columns; command is a
+    _Command.  record(t, ids, data), if given, sees diag plus e and dist,
+    and if the command records distances every row's dist is then searched
+    in full.  Otherwise dist is needed only where |e| < tol_e, and on a
+    parametric path the witness decides the dwell test there.
+
+    No row moves more than reach = speed * dt per step, so the critical-set
+    and domain tests run only on steps when some row could fail one: each
+    run of them is followed by as many steps without them (at least none)
+    as reach fits, less one, into the smallest room over the rows, the room
+    being a row's distance to tol_c of a critical point or to an edge of
+    path.region.  Singular rows are ended on every step.
+
+    Returns the ledger code (an index into _KINDS), t_final, state, e and
+    dist of every run at its termination, dist from the full search
+    wherever |e| was below tol_e at the end.
     """
-    if dt <= 0.0 or t_max <= 0.0:
-        raise ValueError("dt and t_max must be positive")
+    require_positive(dt=dt, t_max=t_max)
     bad = np.flatnonzero(~np.isfinite(state).all(axis=1))
     if len(bad):
         raise ValueError(f"non-finite start(s) at row(s) {bad.tolist()}")
@@ -203,16 +229,21 @@ def _run(command, path, state, dt, t_max, stop, critical_points, record=None):
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
+    full = record is not None and command.records_dist
     # One nearest-sample hint per row for the witness, compacted with ids.
-    witness = record is None and path.has_parametric
+    witness = not full and path.has_parametric
     hint = np.zeros(n_runs, dtype=int)
+    region = path.region
+    # The slack covers rounding in a step's length and in the room.
+    reach = command.speed * dt * (1.0 + 1e-6)
+    due = 0
     # dwell is 0 or a sum of dt: at least one step inside both tolerances is
     # needed to converge, also with t_dwell = 0.
     t_conv = max(stop.t_dwell, dt)
     n_steps = int(math.ceil(t_max / dt - 1e-9))
     for step in range(n_steps + 1):
         t = step * dt
-        e, singular, infeasible, diag, advance = command(state, ids)
+        e, singular, infeasible, diag, advance = command.step(state, ids)
 
         near = np.abs(e) < stop.tol_e
         dist = np.full(len(state), np.nan)
@@ -222,16 +253,25 @@ def _run(command, path, state, dt, t_max, stop, critical_points, record=None):
                 inside[near], dist[near], hint[near] = path.within_boundary(
                     state[near, :2], hint[near], stop.tol_d)
         else:
-            cand = near | (record is not None)
+            cand = near | full
             if cand.any():
                 dist[cand] = path.distance_many(state[cand, :2])
             inside = dist < stop.tol_d
         if record is not None:
             record(t, ids, {**diag, "e": e, "dist": dist})
 
-        critical = singular | (analysis.critical_distance(state[:, :2], crit)
-                               < stop.tol_c)
-        left = ~path.region.contains(state)
+        if step < due:
+            critical, left = singular, np.zeros(len(state), dtype=bool)
+        else:
+            x, y = state[:, 0], state[:, 1]
+            cd = analysis.critical_distance(state[:, :2], crit)
+            critical = singular | (cd < stop.tol_c)
+            left = ~region.contains(state)
+            room = min(float(cd.min()) - stop.tol_c,
+                       float(x.min()) - region.xmin, region.xmax - float(x.max()),
+                       float(y.min()) - region.ymin, region.ymax - float(y.max()))
+            ahead = room * (1.0 - 1e-9) / reach
+            due = step + (int(min(ahead, n_steps)) if ahead >= 1.0 else 1)
         dwell = np.where(near & inside, dwell + dt, 0.0)
         converged = dwell >= t_conv
         last = step == n_steps
@@ -261,8 +301,9 @@ _DIAG_KEYS = ("delta", "omega_d", "omega")
 
 
 def _unicycle_command(steers, group, u_r, dt):
-    """Command for (x, y, alpha) rows, run i turned by steers[group[i]] at
-    forward speed u_r.
+    """_Command for (x, y, alpha) rows, run i turned by steers[group[i]] at
+    forward speed u_r, which bounds each step's displacement by u_r dt: the
+    Simpson rule weighs three unit headings by (1 + 4 + 1) / 6.
 
     Each steer(ids, x, y, alpha) returns (e, singular, infeasible, diag) for
     the runs ids, with the turn rate in diag["omega"], which the RK4 advance
@@ -271,7 +312,7 @@ def _unicycle_command(steers, group, u_r, dt):
     hands on its whole diag, else diag holds only delta, omega_d and omega.
     """
 
-    def command(state, ids):
+    def step(state, ids):
         x, y, alpha = state.T
         g = group[ids]
         if g[0] == g[-1]:
@@ -292,7 +333,7 @@ def _unicycle_command(steers, group, u_r, dt):
         return (e, singular, infeasible,
                 {"x": x, "y": y, "alpha": alpha, **diag}, advance)
 
-    return command
+    return _Command(step, u_r, True)
 
 
 def _steer(path, errmap, controller, u_r, detail):
@@ -492,38 +533,49 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
 
 
 def _trace_command(path, errmap, k_n, mode, u_r, dt):
-    """Classical RK4 on the raw field v or the normalized field u_r m_d."""
+    """_Command for classical RK4 on the raw field v, which has no speed
+    bound, or on the normalized field u_r m_d, whose every stage moves at
+    most at speed u_r.  Its recorder reads no distances."""
+    require_positive(k_n=k_n, u_r=u_r)
     if mode is TraceMode.RAW:
-        def velocity(v):
-            return v
+        speed = math.inf
+
+        def velocity(vx, vy):
+            return vx, vy
     elif mode is TraceMode.NORMALIZED:
-        def velocity(v):
+        speed = u_r
+
+        def velocity(vx, vy):
             # u_r v / |v| rather than u_r * m_d: m_d is NaN where the gradient
             # falls below eps, and a later RK4 stage may land there.
-            return u_r * v / np.maximum(np.hypot(v[..., 0], v[..., 1]),
-                                        _TINY)[..., None]
+            nv = np.maximum(np.hypot(vx, vy), _TINY)
+            return u_r * vx / nv, u_r * vy / nv
     else:
         raise ValueError(f"mode must be a TraceMode, got {mode!r}")
+    h = 0.5 * dt
 
-    def stage(pts):
-        return velocity(gvf._field_v(path, errmap, k_n, pts)[-1])
+    def stage(x, y):
+        return velocity(*gvf._field_xy(path, errmap, k_n, x, y)[2:])
 
-    def command(pts, ids):
+    def step(pts, ids):
+        x, y = pts.T
         # The first stage also gives e and the regular mask.
-        fs = gvf.field_arrays(path, errmap, k_n, pts)
-        k1 = velocity(fs["v"])
+        (ph, gx, gy), e, vx, vy = gvf._field_xy(path, errmap, k_n, x, y)
+        regular = gvf._grad_norm(ph, gx, gy) > gvf.DEGENERACY_EPS
+        k1x, k1y = velocity(vx, vy)
 
         def advance(keep):
-            p, q1 = pts[keep], k1[keep]
-            q2 = stage(p + 0.5 * dt * q1)
-            q3 = stage(p + 0.5 * dt * q2)
-            q4 = stage(p + dt * q3)
-            return p + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+            px, py, q1x, q1y = x[keep], y[keep], k1x[keep], k1y[keep]
+            q2x, q2y = stage(px + h * q1x, py + h * q1y)
+            q3x, q3y = stage(px + h * q2x, py + h * q2y)
+            q4x, q4y = stage(px + dt * q3x, py + dt * q3y)
+            return np.array(
+                (px + (dt / 6.0) * (q1x + 2.0 * q2x + 2.0 * q3x + q4x),
+                 py + (dt / 6.0) * (q1y + 2.0 * q2y + 2.0 * q3y + q4y))).T
 
-        return (fs["e"], ~fs["regular"], np.zeros(len(pts), dtype=bool),
-                {"pts": pts}, advance)
+        return e, ~regular, np.zeros(len(pts), dtype=bool), {"pts": pts}, advance
 
-    return command
+    return _Command(step, speed, False)
 
 
 def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,

@@ -287,7 +287,7 @@ def test_criterion_09_dichotomy_sweep(tmp_path):
             ok &= frac_crit < 0.01
         details.append(f"{cfg.split('_')[0]}: {rep.total} runs, "
                        f"critical {frac_crit:.4f}")
-    _report(9, "dichotomy sweep", ok, "; ".join(details), time.time() - t0, 120.0)
+    _report(9, "dichotomy sweep", ok, "; ".join(details), time.time() - t0, 40.0)
 
 
 def test_criterion_10_controller_comparison(tmp_path):

@@ -21,10 +21,18 @@ from gvfpath import (
     trace_batch,
     wrap_angle,
 )
+from gvfpath import analysis
 from gvfpath.analysis import find_critical_points, sample_invariant_set
 from gvfpath.field import compose_heading, field_arrays
 from gvfpath.scenario import bundled_scenario
-from gvfpath.sim import _rk4_step, _simulate_runs
+from gvfpath.sim import (
+    _gvf_steer,
+    _rk4_step,
+    _run,
+    _simulate_runs,
+    _trace_command,
+    _unicycle_command,
+)
 from gvfpath.util import WORKSPACE
 
 
@@ -87,6 +95,99 @@ def test_trace_batch_rejects_unknown_mode(ellipse, identity, mode):
     with pytest.raises(ValueError, match="mode must be a TraceMode"):
         trace_batch(ellipse, identity, 3.0, [(650.0, 350.0)], mode, dt=0.005,
                     t_max=1.0, critical_points=[])
+
+
+@pytest.mark.parametrize("gains", [{"u_r": math.nan}, {"k_n": math.nan},
+                                   {"u_r": 0.0}, {"u_r": -50.0}])
+def test_trace_batch_rejects_invalid_gains(ellipse, identity, gains):
+    # Such gains once ran: NaN ones ended "critical", u_r <= 0 timed out.
+    k_n, u_r = gains.get("k_n", 3.0), gains.get("u_r", 50.0)
+    with pytest.raises(ValueError, match=f"{next(iter(gains))} must be positive"):
+        trace_batch(ellipse, identity, k_n, [(980.0, 350.0)], TraceMode.NORMALIZED,
+                    dt=0.005, t_max=1.0, u_r=u_r)
+
+
+@pytest.mark.parametrize("bad", [{"dt": math.nan}, {"dt": math.inf},
+                                 {"t_max": math.nan}, {"t_max": math.inf}])
+def test_runs_reject_non_finite_dt_and_t_max(ellipse, identity, exp_params, bad):
+    kw = {"dt": 0.005, "t_max": 1.0, "critical_points": [], **bad}
+    match = f"{next(iter(bad))} must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        simulate_gvf_batch(ellipse, identity, exp_params, [472.0, 311.0, 0.0768], **kw)
+    with pytest.raises(ValueError, match=match):
+        trace_batch(ellipse, identity, 3.0, [650.0, 350.0], TraceMode.NORMALIZED, **kw)
+
+
+def test_recorded_trace_searches_no_distances(ellipse, identity, monkeypatch):
+    # A trace's recorder reads pts and e only, so recording must not turn on
+    # the full distance search; the dwell test stays on the witness.
+    starts = [(980.0, 350.0), (650.0, 350.0), (600.0, 600.0), (-500.0, 0.0)]
+    kw = dict(dt=0.005, t_max=10.0, u_r=50.0, stop=StopPolicy(t_dwell=1.0))
+    ref = trace_batch(ellipse, identity, 3.0, starts, TraceMode.NORMALIZED, **kw)
+
+    def no_search(self, pts):
+        raise AssertionError("full distance search")
+
+    monkeypatch.setattr(type(ellipse), "distance_many", no_search)
+    rows = []
+    got = trace_batch(ellipse, identity, 3.0, starts, TraceMode.NORMALIZED, **kw,
+                      record=lambda t, ids, pts, e: rows.append(len(ids)))
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert TraceLabel.PATH in ref[0].tolist() and len(rows) > 1
+
+
+def _edge_starts(path, crit, tol_c):
+    """One batch per critical point and per region edge: poses 0-3 Px outside
+    tol_c of the point or inside the edge, heading into it, and the same
+    poses turned about.  The gaps are several steps apart, so that the tests
+    are skipped between exits."""
+    gaps = np.array([0.0, 0.7, 1.6, 3.0])
+    ang = 2.0 * math.pi * np.arange(12) / 12.0
+    d = tol_c + np.repeat(gaps, 3)
+    batches = [np.column_stack([px + d * np.cos(ang), py + d * np.sin(ang),
+                                ang + math.pi]) for px, py in crit]
+    r = path.region
+    along = np.linspace(0.3, 0.7, 4)
+    xs, ys = r.xmin + r.width * along, r.ymin + r.height * along
+    for x, y, heading in ((r.xmin + gaps, ys, math.pi), (r.xmax - gaps, ys, 0.0),
+                          (xs, r.ymin + gaps, -0.5 * math.pi),
+                          (xs, r.ymax - gaps, 0.5 * math.pi)):
+        batches.append(np.column_stack([x, y, np.full(4, heading)]))
+    return [np.concatenate([b, b + [0.0, 0.0, math.pi]]) for b in batches]
+
+
+@pytest.mark.parametrize("name", ["ellipse_experiment", "cassini_experiment"])
+def test_deadline_changes_no_decision(name, monkeypatch):
+    # The critical-set and domain tests are skipped until some row could fail
+    # one.  Against running them on every step (speed = inf), no outcome may
+    # change, bit for bit, and the tests must have been skipped.
+    scn = bundled_scenario(f"{name}.cfg")
+    path, stop = scn.path, scn.stop
+    crit = find_critical_points(path).points
+    calls = []
+    distance = analysis.critical_distance
+    monkeypatch.setattr(analysis, "critical_distance",
+                        lambda *a: calls.append(1) or distance(*a))
+    trace = _trace_command(path, scn.errmap, scn.gvf.k_n, TraceMode.NORMALIZED,
+                           scn.gvf.u_r, scn.dt)
+    codes = np.zeros(5, dtype=int)
+    for poses in _edge_starts(path, crit, stop.tol_c):
+        gvf = _unicycle_command([_gvf_steer(path, scn.errmap, scn.gvf)],
+                                np.zeros(len(poses), dtype=int), scn.gvf.u_r, scn.dt)
+        for command, state in ((gvf, poses), (trace, poses[:, :2])):
+            runs = []
+            for cmd in (command, command._replace(speed=math.inf)):
+                calls.clear()
+                runs.append((*_run(cmd, path, state, scn.dt, 1.0, stop, crit),
+                             len(calls)))
+            (*got, n_got), (*ref, n_ref) = runs
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b, equal_nan=True)
+            assert n_got < n_ref
+            if command is gvf:
+                codes += np.bincount(got[0], minlength=5)
+    # sim._KINDS order: infeasible, critical, left domain, converged, timeout.
+    assert codes[1] > 0 and codes[2] > 0
 
 
 def test_step_straight():

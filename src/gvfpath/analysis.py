@@ -185,8 +185,10 @@ class ViabilityReport:
 
 
 # Poses sampled inside M keep |e| and |delta| below this fraction of their
-# bounds.
+# bounds.  Sampling gives up after SAMPLE_EMPTY_ROUNDS rounds in a row that
+# keep no pose, which at n = 1 is 65,536 draws.
 SAMPLE_MARGIN = 0.98
+SAMPLE_EMPTY_ROUNDS = 16384
 
 
 def viability_check(path, errmap, pose0, e_c, params, lipschitz_c=None):
@@ -236,9 +238,11 @@ def sample_invariant_set(path, errmap, k_n, e_c, n, rng):
     """n poses sampled strictly inside M, as an (n, 3) array.
 
     Positions are drawn uniformly over the path's working region subject to
-    |e| < 0.98 e_c and regularity; headings are composed from a heading
-    error drawn uniformly in (-0.98 band, 0.98 band).  e_c = inf (no
-    critical points) is valid.
+    |e| < 0.98 e_c and regularity, 4n per round; headings are composed from
+    a heading error drawn uniformly in (-0.98 band, 0.98 band).  e_c = inf
+    (no critical points) is valid.  Raises ValueError when
+    SAMPLE_EMPTY_ROUNDS rounds in a row keep no position, as when M covers
+    almost none of the region.
     """
     if not e_c > 0.0:
         raise ValueError(f"e_c must be positive, got {e_c!r}")
@@ -248,11 +252,16 @@ def sample_invariant_set(path, errmap, k_n, e_c, n, rng):
         raise ValueError(f"n must be non-negative, got {n!r}")
     band = math.atan(k_n * e_c)
     out = np.empty((0, 3))
+    empty = 0
     while len(out) < n:
+        if empty == SAMPLE_EMPTY_ROUNDS:
+            raise ValueError(f"no pose inside M (e_c = {e_c!r}, k_n = {k_n!r}) "
+                             f"in {empty} rounds of {4 * n} draws")
         pts = path.region.sample(rng, 4 * n)
         fs = gvf.field_arrays(path, errmap, k_n, pts)
         keep = fs["regular"] & (np.abs(fs["e"]) < SAMPLE_MARGIN * e_c)
         pts, m_d = pts[keep], fs["m_d"][keep]
+        empty = 0 if len(pts) else empty + 1
         delta = rng.uniform(-SAMPLE_MARGIN * band, SAMPLE_MARGIN * band,
                             size=len(pts))
         alpha = gvf.compose_heading(m_d, delta)

@@ -143,7 +143,7 @@ def export_field_grid(path, errmap, k_n, region, nx, ny, out_file,
     """
     if nx < 2 or ny < 2:
         raise ValueError("field grid resolution must be at least 2")
-    crit = analysis.find_critical_points(path).points
+    crit = path.critical_set.points
 
     pts = region.grid(nx, ny)
     fs = gvf.field_arrays(path, errmap, k_n, pts, eps=degeneracy_eps)
@@ -178,12 +178,11 @@ def basin_sweep(scn, out_file):
     poses = np.concatenate(
         [np.column_stack([grid, np.full(len(grid), h)]) for h in headings])
 
-    crit = analysis.find_critical_points(scn.path).points
+    crit = scn.path.critical_set.points
     poses = poses[analysis.critical_distance(poses[:, :2], crit) > scn.stop.tol_c]
 
     res = sim.simulate_gvf_batch(scn.path, scn.errmap, scn.gvf, poses,
-                                 dt=scn.dt, t_max=spec.t_max, stop=scn.stop,
-                                 critical_points=crit)
+                                 dt=scn.dt, t_max=spec.t_max, stop=scn.stop)
     labels = np.array([k.value for k in res.kind])
     fractions = {k: float(np.mean(labels == k)) for k in sorted(set(labels))}
 
@@ -231,13 +230,12 @@ def compare_controllers(scn, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, pose = scn.poses[0]
-    crit = analysis.find_critical_points(scn.path).points
 
     names = scn.compare.controllers
     trajs = sim._simulate_runs(scn.path, scn.errmap,
                                [scn.controller_params(name) for name in names],
                                [pose] * len(names), dt=scn.dt, t_max=scn.t_max,
-                               stop=scn.stop, u_r=scn.u_r, critical_points=crit)
+                               stop=scn.stop, u_r=scn.u_r)
     rows = []
     for name, traj in zip(names, trajs):
         write_trajectory_csv(out / f"compare_{name}.csv", traj)
@@ -257,7 +255,7 @@ def compare_controllers(scn, out_dir):
 
 
 def write_critical_report(scn, out_file):
-    found = analysis.find_critical_points(scn.path)
+    found = scn.path.critical_set
     k_n = scn.gvf.k_n if scn.gvf is not None else 1.0
     points = [analysis.classify_critical_point(scn.path, scn.errmap, k_n, loc)
               for loc in found.locations]

@@ -91,17 +91,15 @@ def _pairs(shape, x, y):
 def field_arrays(path, errmap, k_n, pts, eps=DEGENERACY_EPS):
     """Vectorized field quantities at pts (..., 2).
 
-    Returns dict with e, psi_prime, n, n_norm, tau, v, v_norm, m_d, regular;
-    m_d rows are NaN where the field is degenerate.
+    Returns dict with e, n, n_norm, tau, v, v_norm, m_d, regular; m_d rows
+    are NaN where the field is degenerate.
     """
     pts = np.asarray(pts, dtype=float)
     (ph, nx, ny), e, vx, vy = _field_xy(path, errmap, k_n, pts[..., 0], pts[..., 1])
     n_norm, regular, v_norm, _, mdx, mdy = _direction(ph, nx, ny, vx, vy, eps)
     shape = np.shape(ph)
     return {
-        "phi": ph,
         "e": e,
-        "psi_prime": errmap.psi_prime(ph),
         "n": _pairs(shape, nx, ny),
         "n_norm": n_norm,
         "tau": _pairs(shape, ny, -nx),

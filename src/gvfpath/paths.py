@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import analysis
 from .util import PADDED_WORKSPACE, TWO_PI, Region, require_positive
 
 # Distance queries sample the parametric form this densely; point queries
@@ -88,11 +89,11 @@ def _sq_dist(px, py, qx, qy):
 class ImplicitPath:
     """Base class: vectorized phi/grad/hess plus distance machinery.
 
-    Subclasses are frozen dataclasses; all derived data is cached, so
-    instances are immutable and safe to share across threads.  region is the
-    working region: a field of the line and polynomial paths, the padded
-    workspace for the others.  Each subclass writes its formulas once, in
-    jet_xy; jet, phi, grad and hess are views of it.
+    Subclasses are frozen dataclasses; all derived data (boundary samples,
+    critical set) is cached, so instances are immutable and thread-safe.
+    region is the working region: a field of the line and polynomial paths,
+    the padded workspace for the others.  Each subclass writes its formulas
+    once, in jet_xy; jet, phi, grad and hess are views of it.
     """
 
     closed = False
@@ -144,6 +145,11 @@ class ImplicitPath:
         is then convex); other paths override it."""
         _, gx, gy = self.jet(self.region.grid(2, 2), 1)
         return float(np.max(np.hypot(gx, gy)))
+
+    @cached_property
+    def critical_set(self):
+        """analysis.find_critical_points(self), searched once per path."""
+        return analysis.find_critical_points(self)
 
     # -- distance to the zero set ------------------------------------------
 

@@ -159,6 +159,14 @@ def _integer(raw, where):
     return int(v)
 
 
+def _file_name(raw, where):
+    """raw, which names output files, if it is one file-name component."""
+    if raw in ("", ".", "..") or "/" in raw or "\\" in raw:
+        raise ConfigError(f"{where} must be a file name without a directory "
+                          f"part, got {raw!r}")
+    return raw
+
+
 def _parse_region(raw, where):
     parts = raw.split()
     if len(parts) != 4:
@@ -233,7 +241,7 @@ def parse_scenario(text):
     if not cp.has_section("scenario"):
         raise ConfigError("missing [scenario] section")
     _check_keys(cp, "scenario", ("name", "controller", "u_r", "dt", "t_max"))
-    name = _want(cp, "scenario", "name")
+    name = _file_name(_want(cp, "scenario", "name"), "[scenario] name")
     controller = cp.get("scenario", "controller", fallback="gvf").lower()
     if controller not in _CONTROLLERS:
         raise ConfigError(f"[scenario] controller must be gvf/los/ngl, got {controller!r}")
@@ -261,6 +269,7 @@ def parse_scenario(text):
     poses = []
     for label, raw in cp.items("initial_poses"):
         where = f"[initial_poses] {label}"
+        _file_name(label, "[initial_poses] label")
         parts = raw.split()
         if len(parts) != 3:
             raise ConfigError(f"{where}: expected 'x y alpha', got {raw!r}")

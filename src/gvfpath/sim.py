@@ -20,10 +20,10 @@ records the rows, then ends every row whose event fires, with the precedence
     infeasible > critical set > left domain > converged > timeout
 
 where the critical event also covers the command's singular rows (a
-vanishing gradient).  The critical set is analysis.find_critical_points(path)
-unless the caller passes one, and the domain is the path's working region,
-path.region.  Each command bounds its rows' speed: a unicycle and a
-normalized trace move at most u_r dt per step, a raw trace has no bound.
+vanishing gradient).  The critical set is path.critical_set, searched once
+per path, and the domain is the path's working region, path.region.  Each
+command bounds its rows' speed: a unicycle and a normalized trace move at
+most u_r dt per step, a raw trace has no bound.
 So the critical-set and domain tests run only on steps when some row could
 fail one, and the outcome is the same as testing every step; singular rows
 are ended on every step.  Ended rows are dropped before the advance, so a
@@ -192,14 +192,14 @@ class _Command(NamedTuple):
     records_dist: bool
 
 
-def _run(command, path, state, dt, t_max, stop, critical_points, record=None):
+def _run(command, path, state, dt, t_max, stop, crit, record=None):
     """The batched time-step loop and its termination ledger.
 
-    state is (B, k) with the position in its first two columns; command is a
-    _Command.  record(t, ids, data), if given, sees diag plus e and dist,
-    and if the command records distances every row's dist is then searched
-    in full.  Otherwise dist is needed only where |e| < tol_e, and on a
-    parametric path the witness decides the dwell test there.
+    state is (B, k) with the position in its first two columns, crit is the
+    critical set (m, 2) and command a _Command.  record(t, ids, data), if
+    given, sees diag, e and dist, and if the command records distances every
+    row's dist is searched in full.  Otherwise only rows with |e| < tol_e
+    need dist, and on a parametric path the witness decides their dwell test.
 
     No row moves more than reach = speed * dt per step, so the critical-set
     and domain tests run only on steps when some row could fail one: each
@@ -224,8 +224,6 @@ def _run(command, path, state, dt, t_max, stop, critical_points, record=None):
     fin_d = np.zeros(n_runs)
     if n_runs == 0:
         return code, t_fin, fin, fin_e, fin_d
-    crit = (analysis.find_critical_points(path).points
-            if critical_points is None else critical_points)
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
@@ -416,7 +414,7 @@ def _rows(starts, k):
 
 
 def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
-                       stop=StopPolicy(), critical_points=None, record=None):
+                       stop=StopPolicy(), record=None):
     """Integrate the guiding-field closed loop for a batch of initial poses.
 
     poses0: array (B, 3) of (x, y, alpha), or one pose (3,).  `record`, if
@@ -431,7 +429,7 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
     command = _unicycle_command([_gvf_steer(path, errmap, params)],
                                 np.zeros(len(poses0), dtype=int), params.u_r, dt)
     code, t_final, fin, e, dist = _run(command, path, poses0, dt, t_max, stop,
-                                       critical_points, record)
+                                       path.critical_set.points, record)
     return BatchResult(kind=_KINDS[code], t_final=t_final, x=fin[:, 0],
                        y=fin[:, 1], alpha=fin[:, 2], e=e, dist=dist)
 
@@ -472,7 +470,7 @@ class _RowRecorder:
 
 
 def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(),
-                   u_r=None, critical_points=None):
+                   u_r=None):
     """Integrate the closed loop from each Pose in one batch; one Trajectory
     per pose, each equal to that pose's run on its own.
 
@@ -498,7 +496,7 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
     rec = _RowRecorder(len(state))
     command = _unicycle_command([steer for steer, _ in made], group[order], speed, dt)
     code, t_final, *_ = _run(command, path, state, dt, t_max, stop,
-                             critical_points, rec)
+                             path.critical_set.points, rec)
     details = {
         TerminationKind.CONVERGED: "|e| and path distance within tolerance "
                                    f"for {stop.t_dwell} s",
@@ -515,8 +513,7 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
     return trajs
 
 
-def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
-             u_r=None, critical_points=None):
+def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(), u_r=None):
     """Integrate one closed-loop run and return its Trajectory.
 
     controller is GvfParams (u_r taken from it) or LosParams / NglParams
@@ -524,8 +521,7 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(),
     with an event; only invalid configuration raises.  The recorded alpha is
     the integrated heading, not wrapped.
     """
-    return _simulate_runs(path, errmap, [controller], [pose0], dt, t_max, stop,
-                          u_r, critical_points)[0]
+    return _simulate_runs(path, errmap, [controller], [pose0], dt, t_max, stop, u_r)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +580,14 @@ def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
     field (r' = u_r m_d) from a batch of starts; returns (labels, t_final)
     per run.
 
-    starts: array (B, 2), or one start (2,).  `record`, if given, is called
-    once per step as record(t, ids, pts, e).
+    starts: array (B, 2), or one start (2,).  critical_points (m, 2), kept
+    for the perfbench trace workload, replaces path.critical_set if given.
+    `record`, if given, is called once per step as record(t, ids, pts, e).
     """
     starts = _rows(starts, 2)
+    command = _trace_command(path, errmap, k_n, mode, u_r, dt)
+    crit = path.critical_set.points if critical_points is None else critical_points
     rec = None if record is None else (
         lambda t, ids, data: record(t, ids, data["pts"], data["e"]))
-    code, t_final, *_ = _run(_trace_command(path, errmap, k_n, mode, u_r, dt),
-                             path, starts, dt, t_max, stop, critical_points, rec)
+    code, t_final, *_ = _run(command, path, starts, dt, t_max, stop, crit, rec)
     return _LABELS[code], t_final

@@ -28,7 +28,11 @@ from gvfpath import (
     simulate,
     wrap_angle,
 )
-from gvfpath.analysis import critical_error_threshold, sample_invariant_set
+from gvfpath.analysis import (
+    critical_distance,
+    critical_error_threshold,
+    sample_invariant_set,
+)
 from gvfpath.cli import basin_sweep, compare_controllers
 from gvfpath.field import field_arrays, steering_arrays
 from gvfpath.scenario import bundled_scenario
@@ -41,10 +45,6 @@ LINE = LinePath(0.0, 1.0, 0.0)
 CIRCLE = CirclePath(x0=600.0, y0=350.0, radius=300.0, k_s=1e-5)
 IDENTITY = IdentityMap()
 PARAMS = GvfParams(k_n=3.0, k_delta=2.0, u_r=50.0)
-CRIT = {
-    "ellipse": np.array([[600.0, 350.0]]),
-    "cassini": np.array([[300.0, 350.0], [600.0, 350.0], [900.0, 350.0]]),
-}
 
 
 def _report(num, name, ok, detail, elapsed, budget):
@@ -55,13 +55,11 @@ def _report(num, name, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {num} exceeded budget: {line}"
 
 
-def _sample_regular_poses(path, crit, n, rng, exclusion=5.0):
+def _sample_regular_poses(path, n, rng, exclusion=5.0):
     poses = np.empty((0, 3))
     while len(poses) < n:
         pts = PADDED_WORKSPACE.sample(rng, 4 * n)
-        d = np.min(np.hypot(pts[:, 0, None] - crit[:, 0],
-                            pts[:, 1, None] - crit[:, 1]), axis=1)
-        pts = pts[d > exclusion]
+        pts = pts[critical_distance(pts, path.critical_set.points) > exclusion]
         alpha = rng.uniform(-math.pi, math.pi, size=len(pts))
         poses = np.vstack([poses, np.column_stack([pts, alpha])])
     return poses[:n]
@@ -107,15 +105,8 @@ def test_criterion_03_rotation_rate_oracle():
     rng = np.random.default_rng(3)
     h = 1e-6
     worst = 0.0
-    for name, path in (("ellipse", ELLIPSE), ("cassini", CASSINI),
-                       ("line", LINE), ("circle", CIRCLE)):
-        if name == "circle":
-            crit = np.array([[600.0, 350.0]])
-        else:
-            # The line has no critical points; an unreachable sentinel keeps
-            # the sampler's exclusion test vectorized.
-            crit = CRIT.get(name, np.array([[math.inf, math.inf]]))
-        poses = _sample_regular_poses(path, crit, 1000, rng)
+    for path in (ELLIPSE, CASSINI, LINE, CIRCLE):
+        poses = _sample_regular_poses(path, 1000, rng)
         x, y, alpha = poses.T
         st = steering_arrays(path, IDENTITY, PARAMS, x, y, alpha)
         ux, uy = np.cos(alpha), np.sin(alpha)
@@ -151,20 +142,17 @@ def test_criterion_04_lyapunov_monotonicity():
     t0 = time.time()
     rng = np.random.default_rng(4)
     worst = -math.inf
-    for name, path in (("ellipse", ELLIPSE), ("cassini", CASSINI)):
-        crit = CRIT[name]
+    for path in (ELLIPSE, CASSINI):
         for mode, t_max in ((TraceMode.RAW, 40.0), (TraceMode.NORMALIZED, 600.0)):
             starts = np.empty((0, 2))
             while len(starts) < 50:
                 pts = WORKSPACE.sample(rng, 200)
-                d = np.min(np.hypot(pts[:, 0, None] - crit[:, 0],
-                                    pts[:, 1, None] - crit[:, 1]), axis=1)
+                d = critical_distance(pts, path.critical_set.points)
                 starts = np.vstack([starts, pts[d > 5.0]])
             starts = starts[:50]
             mono = _MonotoneV(len(starts))
             trace_batch(path, IDENTITY, PARAMS.k_n, starts, mode, dt=0.005,
-                        t_max=t_max, u_r=PARAMS.u_r, critical_points=crit,
-                        record=mono)
+                        t_max=t_max, u_r=PARAMS.u_r, record=mono)
             worst = max(worst, mono.worst)
     _report(4, "Lyapunov monotonicity", worst <= 0.0,
             f"max excess {worst:.3g} <= 0 over 100 raw + 100 normalized curves",
@@ -175,8 +163,8 @@ def test_criterion_05_delta_decay():
     t0 = time.time()
     rng = np.random.default_rng(5)
     worst = -math.inf
-    for name, path in (("ellipse", ELLIPSE), ("cassini", CASSINI)):
-        poses = _sample_regular_poses(path, CRIT[name], 25, rng)
+    for path in (ELLIPSE, CASSINI):
+        poses = _sample_regular_poses(path, 25, rng)
         delta0 = np.full(len(poses), np.nan)
         tracker = {"worst": -math.inf}
 
@@ -190,7 +178,7 @@ def test_criterion_05_delta_decay():
                 tracker["worst"] = max(tracker["worst"], float(viol.max()))
 
         simulate_gvf_batch(path, IDENTITY, PARAMS, poses, dt=0.005, t_max=120.0,
-                           critical_points=CRIT[name], record=rec)
+                           record=rec)
         worst = max(worst, tracker["worst"])
     _report(5, "delta decay", worst <= 0.0,
             f"max |delta| excess over envelope {worst:.3g} <= 0, 50 starts",
@@ -203,10 +191,9 @@ def test_criterion_06_experiment_reproduction():
     details = []
     for cfg in ("ellipse_experiment.cfg", "cassini_experiment.cfg"):
         scn = bundled_scenario(cfg)
-        crit = CRIT[cfg.split("_")[0]]
         for label, pose in scn.poses:
             traj = simulate(scn.path, scn.errmap, scn.gvf, pose, dt=0.005,
-                            t_max=120.0, stop=scn.stop, critical_points=crit)
+                            t_max=120.0, stop=scn.stop)
             e_fin = abs(float(traj.e[-1]))
             d_fin = scn.path.distance((traj.x[-1], traj.y[-1]))
             good = (traj.termination.kind is TerminationKind.CONVERGED
@@ -250,7 +237,7 @@ def test_criterion_08_invariant_set():
     ok = True
     details = []
     for name, path in (("ellipse", ELLIPSE), ("cassini", CASSINI)):
-        e_c = critical_error_threshold(path, IDENTITY, CRIT[name])
+        e_c = critical_error_threshold(path, IDENTITY, path.critical_set.points)
         poses = sample_invariant_set(path, IDENTITY, PARAMS.k_n, e_c, 100, rng)
         e0 = np.full(len(poses), np.nan)
         d0 = np.full(len(poses), np.nan)
@@ -263,8 +250,7 @@ def test_criterion_08_invariant_set():
             np.maximum.at(max_e, ids, np.abs(data["e"]))
 
         res = simulate_gvf_batch(path, IDENTITY, PARAMS, poses, dt=0.005,
-                                 t_max=120.0, critical_points=CRIT[name],
-                                 record=rec)
+                                 t_max=120.0, record=rec)
         n_crit = sum(k is TerminationKind.CRITICAL for k in res.kind)
         bound = np.maximum(e0, np.tan(d0) / PARAMS.k_n)
         n_viol = int(np.sum(max_e > bound + 1e-6))

@@ -291,6 +291,13 @@ def test_sample_invariant_set_rejects_bad_gain(ellipse, identity, rng, k_n):
         sample_invariant_set(ellipse, identity, k_n, 1.6, 5, rng)
 
 
+def test_sample_invariant_set_gives_up_when_m_is_almost_empty(ellipse, identity,
+                                                               rng):
+    # With e_c = 1e-300 almost no position of the region lies in M.
+    with pytest.raises(ValueError, match="no pose inside M"):
+        sample_invariant_set(ellipse, identity, 3.0, 1e-300, 1, rng)
+
+
 def test_sample_invariant_set_accepts_empty_critical_set(ellipse, identity, rng):
     # e_c = inf is the threshold of a path without critical points.
     poses = sample_invariant_set(ellipse, identity, 3.0, math.inf, 5, rng)

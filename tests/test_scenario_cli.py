@@ -21,6 +21,7 @@ from gvfpath import (
     Region,
     StopPolicy,
 )
+from gvfpath import analysis
 from gvfpath.cli import (
     basin_sweep,
     compare_controllers,
@@ -166,6 +167,20 @@ INVALID = [
     pytest.param("[stop]", LOS + "direction = sideways\n\n[stop]", "simulate",
                  "[controller.los] direction must be forward or reverse",
                  id="direction-sideways"),
+    # The name and the labels name output files, which stay in the output
+    # directory.
+    pytest.param("name = ellipse_experiment", "name = ../escaped", "simulate",
+                 "[scenario] name must be a file name", id="name-parent"),
+    pytest.param("name = ellipse_experiment", "name = ..", "critical",
+                 "[scenario] name must be a file name", id="name-dotdot"),
+    pytest.param("name = ellipse_experiment", "name = out\\escaped", "simulate",
+                 "[scenario] name must be a file name", id="name-backslash"),
+    pytest.param("name = ellipse_experiment", "name =", "simulate",
+                 "[scenario] name must be a file name", id="name-empty"),
+    pytest.param("a = 472.0", "x/y = 472.0", "simulate",
+                 "[initial_poses] label must be a file name", id="label-slash"),
+    pytest.param("a = 472.0", ". = 472.0", "simulate",
+                 "[initial_poses] label must be a file name", id="label-dot"),
 ]
 
 
@@ -183,6 +198,7 @@ def test_invalid_config_names_section_and_key(old, new, verb, needle, tmp_path, 
     stderr = capsys.readouterr().err
     assert stderr.startswith("error:") and needle in stderr
     assert "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # One instance of every path kind and error map, each with a field value
@@ -416,6 +432,30 @@ def test_basin_sweep_grid_inside_critical_ball_is_empty(tmp_path):
     rep = basin_sweep(parse_scenario(text), tmp_path / "basin.csv")
     assert rep.total == 0
     assert rep.fractions == {}
+
+
+def test_critical_set_is_searched_once_per_path(tmp_path, monkeypatch):
+    # Every verb reads the critical set of the one path object: the search
+    # runs on the first read only.
+    calls = []
+    search = analysis.find_critical_points
+    monkeypatch.setattr(analysis, "find_critical_points",
+                        lambda *a, **kw: calls.append(1) or search(*a, **kw))
+    scn = parse_scenario(SMALL_SCENARIO.replace("t_max = 4.0", "t_max = 0.5"))
+    scn = dataclasses.replace(
+        scn, basin=BasinSpec(nx=3, ny=2, headings=1, t_max=0.5),
+        compare=CompareSpec(controllers=("gvf",)))
+    run_scenario(scn, tmp_path / "run")
+    export_field_grid(scn.path, scn.errmap, 3.0, scn.path.region, 4, 4,
+                      tmp_path / "field_grid.csv")
+    write_critical_report(scn, tmp_path / "crit.txt")
+    basin_sweep(scn, tmp_path / "basin.csv")
+    compare_controllers(scn, tmp_path / "compare")
+    assert len(calls) == 1
+    # .points is a new array each time, so no caller can write to the cache.
+    pts = scn.path.critical_set.points
+    pts += 1.0
+    assert np.array_equal(scn.path.critical_set.points, pts - 1.0)
 
 
 def test_critical_report_file(tmp_path):

@@ -26,6 +26,8 @@ from gvfpath.analysis import find_critical_points, sample_invariant_set
 from gvfpath.field import compose_heading, field_arrays
 from gvfpath.scenario import bundled_scenario
 from gvfpath.sim import (
+    _KINDS,
+    _RowRecorder,
     _gvf_steer,
     _rk4_step,
     _run,
@@ -58,16 +60,16 @@ def test_batches_reject_non_finite_starts(ellipse, identity, exp_params):
     poses = np.array([[472.0, 311.0, 0.0768], [np.nan, 300.0, 0.0]])
     with pytest.raises(ValueError, match=r"row\(s\) \[1\]"):
         simulate_gvf_batch(ellipse, identity, exp_params, poses, dt=0.005,
-                           t_max=1.0, critical_points=[])
+                           t_max=1.0)
     with pytest.raises(ValueError, match=r"row\(s\) \[0\]"):
         trace_batch(ellipse, identity, 3.0, [(np.inf, 350.0)], TraceMode.RAW,
-                    dt=0.005, t_max=1.0, critical_points=[])
+                    dt=0.005, t_max=1.0)
 
 
 def test_batches_reject_mis_shaped_starts(ellipse, identity, exp_params):
     # Three (x, y) rows are not two poses, and two (x, y, alpha) rows are not
     # three starts; one pose (3,) or one start (2,) is a batch of one.
-    kw = dict(dt=0.005, t_max=1.0, critical_points=[])
+    kw = dict(dt=0.005, t_max=1.0)
     with pytest.raises(ValueError, match=r"\(3, 2\) are not \(B, 3\) or \(3,\)"):
         simulate_gvf_batch(ellipse, identity, exp_params,
                            np.array([[900, 350], [1000, 350], [700, 300]]), **kw)
@@ -87,14 +89,14 @@ def test_batches_reject_mis_shaped_starts(ellipse, identity, exp_params):
 def test_gvf_batch_rejects_other_controllers(ellipse, identity, controller):
     with pytest.raises(TypeError, match="unsupported controller"):
         simulate_gvf_batch(ellipse, identity, controller, [[472.0, 311.0, 0.0768]],
-                           dt=0.005, t_max=1.0, critical_points=[])
+                           dt=0.005, t_max=1.0)
 
 
 @pytest.mark.parametrize("mode", ["bogus", "raw", None])
 def test_trace_batch_rejects_unknown_mode(ellipse, identity, mode):
     with pytest.raises(ValueError, match="mode must be a TraceMode"):
         trace_batch(ellipse, identity, 3.0, [(650.0, 350.0)], mode, dt=0.005,
-                    t_max=1.0, critical_points=[])
+                    t_max=1.0)
 
 
 @pytest.mark.parametrize("gains", [{"u_r": math.nan}, {"k_n": math.nan},
@@ -110,7 +112,7 @@ def test_trace_batch_rejects_invalid_gains(ellipse, identity, gains):
 @pytest.mark.parametrize("bad", [{"dt": math.nan}, {"dt": math.inf},
                                  {"t_max": math.nan}, {"t_max": math.inf}])
 def test_runs_reject_non_finite_dt_and_t_max(ellipse, identity, exp_params, bad):
-    kw = {"dt": 0.005, "t_max": 1.0, "critical_points": [], **bad}
+    kw = {"dt": 0.005, "t_max": 1.0, **bad}
     match = f"{next(iter(bad))} must be positive and finite"
     with pytest.raises(ValueError, match=match):
         simulate_gvf_batch(ellipse, identity, exp_params, [472.0, 311.0, 0.0768], **kw)
@@ -286,13 +288,17 @@ def test_simulate_critical_start(ellipse, identity, exp_params):
 
 
 def test_simulate_singular_start_is_critical(ellipse, identity, exp_params):
-    # With no listed critical points, the vanishing gradient at the ellipse
+    # With an empty critical set, the vanishing gradient at the ellipse
     # center alone ends the run; the row records omega = 0 and NaN delta.
-    traj = simulate(ellipse, identity, exp_params, Pose(600.0, 350.0, 0.0),
-                    dt=0.005, t_max=10.0, critical_points=np.zeros((0, 2)))
-    assert traj.termination.kind is TerminationKind.CRITICAL
-    assert len(traj) == 1 and traj.omega[0] == 0.0
-    assert np.isnan(traj.delta[0]) and np.isnan(traj.omega_d[0])
+    command = _unicycle_command([_gvf_steer(ellipse, identity, exp_params)],
+                               np.zeros(1, dtype=int), exp_params.u_r, 0.005)
+    rec = _RowRecorder(1)
+    code, t_final, *_ = _run(command, ellipse, np.array([[600.0, 350.0, 0.0]]),
+                             0.005, 10.0, StopPolicy(), np.zeros((0, 2)), rec)
+    assert _KINDS[code[0]] is TerminationKind.CRITICAL and t_final[0] == 0.0
+    row = rec.columns(0)
+    assert len(row["t"]) == 1 and row["omega"][0] == 0.0
+    assert np.isnan(row["delta"][0]) and np.isnan(row["omega_d"][0])
 
 
 def test_simulate_baseline_runs(ellipse, identity):
@@ -392,12 +398,12 @@ def test_zero_dwell_stops_at_first_step_inside_tolerances(ellipse, identity,
     # tol_d; the start is 148 Px off the path.
     stop = StopPolicy(t_dwell=0.0)
     res = simulate_gvf_batch(ellipse, identity, exp_params, [[472.0, 311.0, 0.0768]],
-                             dt=0.005, t_max=20.0, stop=stop, critical_points=[])
+                             dt=0.005, t_max=20.0, stop=stop)
     assert res.kind[0] is TerminationKind.CONVERGED
     assert res.t_final[0] > 0.0
     assert abs(res.e[0]) < stop.tol_e and res.dist[0] < stop.tol_d
     traj = simulate(ellipse, identity, exp_params, Pose(472.0, 311.0, 0.0768),
-                    dt=0.005, t_max=20.0, stop=stop, critical_points=[])
+                    dt=0.005, t_max=20.0, stop=stop)
     assert traj.termination.t_final == res.t_final[0]
     outside = (np.abs(traj.e[:-1]) >= stop.tol_e) | ~(traj.dist[:-1] < stop.tol_d)
     assert outside.all()

@@ -60,13 +60,24 @@ class CriticalPoint:
     det_j: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriticalPointSearch:
     """Converged gradient zeros: classifiable locations plus any roots where
-    the Hessian is singular (reported, never dropped)."""
+    the Hessian is singular (reported, never dropped).
 
-    locations: list
-    unclassifiable: list
+    A path shares one search with every caller, so it cannot be changed:
+    each field is a tuple of read-only copies of the points given.
+    """
+
+    locations: tuple
+    unclassifiable: tuple
+
+    def __post_init__(self):
+        for name in ("locations", "unclassifiable"):
+            points = tuple(np.array(p, dtype=float) for p in getattr(self, name))
+            for p in points:
+                p.flags.writeable = False
+            object.__setattr__(self, name, points)
 
     @property
     def points(self):

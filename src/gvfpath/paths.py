@@ -41,6 +41,8 @@ BOUNDARY_SAMPLES = 4096
 COARSE_STRIDE = 32
 # The global projection seeds its search with this many boundary samples.
 PROJECTION_SEEDS = 1024
+# The dwell witness checks this many samples on each side of a row's hint.
+WITNESS_HALF_WIDTH = 4
 NEWTON_ITERS = 4
 # Raster resolution used to locate the zero contour of paths that have no
 # parametric form; distance queries refine the nearest contour point.
@@ -223,30 +225,29 @@ class ImplicitPath:
         """Whether nearest_boundary's distance is below tol at the points
         (m, 2), decided exactly with the help of sample-index hints (m,).
 
-        The witness checks samples hint-1, hint, hint+1 (wrapped on closed
-        paths, clipped on open ones) with nearest_boundary's arithmetic: if
-        one lies below tol, so does the nearest sample, which is what
-        nearest_boundary finds unless another stretch of the path passes
-        within about a coarse cell of the point.  Rows without such a
-        witness run the full search.  Returns (inside, dist, hint): dist
-        is nearest_boundary's distance on the fully searched rows and NaN on
-        the witnessed ones, hint the index of the nearest sample checked.
+        The witness checks the samples within WITNESS_HALF_WIDTH of each hint
+        (wrapped on closed paths, clipped on open ones) with
+        nearest_boundary's arithmetic: if the nearest of them lies below tol,
+        so does the nearest sample, which is what nearest_boundary finds
+        unless another stretch of the path passes within about a coarse cell
+        of the point.  Rows without such a witness run the full search.
+        Returns (dist, hint): dist is the witness's distance on the witnessed
+        rows and nearest_boundary's on the others, so it lies below tol
+        exactly where nearest_boundary's does, and hint is the index of the
+        sample at that distance.
         """
         n = BOUNDARY_SAMPLES
-        k = hint[:, None] + np.arange(-1, 2)
+        k = hint[:, None] + np.arange(-WITNESS_HALF_WIDTH, WITNESS_HALF_WIDTH + 1)
         k = k % n if self.closed else np.clip(k, 0, n - 1)
-        b = self._boundary_pts[k]
-        d2 = _sq_dist(pts[:, 0, None], pts[:, 1, None], b[..., 0], b[..., 1])
+        x, y = self._boundary_xy
+        d2 = _sq_dist(pts[:, 0, None], pts[:, 1, None], x[k], y[k])
         j = d2.argmin(axis=1)
         rows = np.arange(len(k))
-        inside = np.sqrt(d2[rows, j]) < tol
-        hint = k[rows, j]
-        dist = np.full(len(k), np.nan)
-        miss = ~inside
+        dist, hint = np.sqrt(d2[rows, j]), k[rows, j]
+        miss = ~(dist < tol)
         if miss.any():
             dist[miss], hint[miss] = self.nearest_boundary(pts[miss])
-            inside[miss] = dist[miss] < tol
-        return inside, dist, hint
+        return dist, hint
 
     def _newton_xy(self, qx, qy, side, order=1):
         """NEWTON_ITERS 2x2 Newton steps on phi = 0 and side = 0 from

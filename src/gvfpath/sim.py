@@ -44,11 +44,20 @@ inside both tolerances).  Distances used inside the loop are those of
 `path.distance_many`: the nearest of 4096 boundary samples on parametric
 paths (resolution about half a sample spacing; use `path.distance` for
 refined point queries), the exact foot point on polynomials.  The dwell test
-needs only whether that distance is below tol_d: on a parametric path, unless
-the closed loop records distances (a recorded trace does not),
+needs only whether that distance is below tol_d: on a parametric path,
 `path.within_boundary` decides it exactly from each row's nearest-sample
-hint and runs the full search only where the hint gives no witness.  A run
-that ends while witnessed gets its full distance.
+hint and runs the full search only where the hint gives no witness.
+
+A sample closer than tol_d stays closer until the row has moved the room
+left, so a witness at distance d certifies its row inside for as many steps
+as the speed bound fits into tol_d - d.  The witness is asked again only on
+steps when some row with |e| < tol_e is past its deadline, and then for all
+such rows, so that their deadlines stay in step; a raw trace, with no speed
+bound, gets no deadline and asks on every step.  Other paths search the
+rows with |e| < tol_e on every step.  A run that ends with |e| < tol_e gets
+its full distance.  A recorded closed loop's distance column is searched
+once per run, after the batch, in blocks.
+
 Non-finite starts are invalid input and raise ValueError.
 """
 
@@ -183,13 +192,11 @@ class _Command(NamedTuple):
     step(state, ids) returns (e, singular, infeasible, diag, advance) for
     the active rows, ids being their run indices, and advance(keep) gives
     the next state of the rows kept.  speed bounds how fast any row moves in
-    the plane (inf: no bound).  records_dist says whether a recorder reads
-    every row's dist.
+    the plane (inf: no bound).
     """
 
     step: Callable
     speed: float
-    records_dist: bool
 
 
 def _run(command, path, state, dt, t_max, stop, crit, record=None):
@@ -197,20 +204,22 @@ def _run(command, path, state, dt, t_max, stop, crit, record=None):
 
     state is (B, k) with the position in its first two columns, crit is the
     critical set (m, 2) and command a _Command.  record(t, ids, data), if
-    given, sees diag, e and dist, and if the command records distances every
-    row's dist is searched in full.  Otherwise only rows with |e| < tol_e
-    need dist, and on a parametric path the witness decides their dwell test.
+    given, sees diag and e.  Only rows with |e| < tol_e need the distance
+    test, which on a parametric path the witness decides.
 
     No row moves more than reach = speed * dt per step, so the critical-set
     and domain tests run only on steps when some row could fail one: each
     run of them is followed by as many steps without them (at least none)
     as reach fits, less one, into the smallest room over the rows, the room
     being a row's distance to tol_c of a critical point or to an edge of
-    path.region.  Singular rows are ended on every step.
+    path.region.  Singular rows are ended on every step.  In the same way a
+    witness at distance d < tol_d certifies its row inside through step
+    `until`, as many steps on as reach fits into tol_d - d.
 
     Returns the ledger code (an index into _KINDS), t_final, state, e and
-    dist of every run at its termination, dist from the full search
-    wherever |e| was below tol_e at the end.
+    dist of every run at its termination, dist from the full search (that
+    of path.distance_many) wherever |e| was below tol_e at the end and NaN
+    elsewhere.
     """
     require_positive(dt=dt, t_max=t_max)
     bad = np.flatnonzero(~np.isfinite(state).all(axis=1))
@@ -221,16 +230,17 @@ def _run(command, path, state, dt, t_max, stop, crit, record=None):
     t_fin = np.zeros(n_runs)
     fin = np.zeros_like(state)
     fin_e = np.zeros(n_runs)
-    fin_d = np.zeros(n_runs)
+    fin_d = np.full(n_runs, np.nan)
     if n_runs == 0:
         return code, t_fin, fin, fin_e, fin_d
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
-    full = record is not None and command.records_dist
-    # One nearest-sample hint per row for the witness, compacted with ids.
-    witness = not full and path.has_parametric
+    witness = path.has_parametric
+    # Per row, compacted with ids: the witness's nearest-sample hint and the
+    # last step through which the witness certifies the row inside.
     hint = np.zeros(n_runs, dtype=int)
+    until = np.full(n_runs, -1.0)
     region = path.region
     # The slack covers rounding in a step's length and in the room.
     reach = command.speed * dt * (1.0 + 1e-6)
@@ -242,21 +252,22 @@ def _run(command, path, state, dt, t_max, stop, crit, record=None):
     for step in range(n_steps + 1):
         t = step * dt
         e, singular, infeasible, diag, advance = command.step(state, ids)
+        if record is not None:
+            record(t, ids, {**diag, "e": e})
 
         near = np.abs(e) < stop.tol_e
-        dist = np.full(len(state), np.nan)
         if witness:
+            # Asked on all rows with |e| < tol_e, so their deadlines line up.
+            if (until[near] < step).any():
+                dw, hint[near] = path.within_boundary(state[near, :2], hint[near],
+                                                      stop.tol_d)
+                ahead = np.floor((stop.tol_d - dw) * (1.0 - 1e-9) / reach)
+                until[near] = np.where(dw < stop.tol_d, step + ahead, -1.0)
+            inside = until >= step
+        else:
             inside = np.zeros(len(state), dtype=bool)
             if near.any():
-                inside[near], dist[near], hint[near] = path.within_boundary(
-                    state[near, :2], hint[near], stop.tol_d)
-        else:
-            cand = near | full
-            if cand.any():
-                dist[cand] = path.distance_many(state[cand, :2])
-            inside = dist < stop.tol_d
-        if record is not None:
-            record(t, ids, {**diag, "e": e, "dist": dist})
+                inside[near] = path.distance_many(state[near, :2]) < stop.tol_d
 
         if step < due:
             critical, left = singular, np.zeros(len(state), dtype=bool)
@@ -277,20 +288,20 @@ def _run(command, path, state, dt, t_max, stop, crit, record=None):
         keep = slice(None)
         if done.any():
             ii = ids[done]
-            if witness:
-                # Witnessed rows that end get their distance for fin_d.
-                wit = done & near & np.isnan(dist)
-                if wit.any():
-                    dist[wit] = path.nearest_boundary(state[wit, :2])[0]
             # The first event that fired, in precedence order.
             code[ii] = np.argmax(np.stack([infeasible, critical, left, converged,
                                            np.full(len(done), last)])[:, done], axis=0)
             t_fin[ii] = t
-            fin[ii], fin_e[ii], fin_d[ii] = state[done], e[done], dist[done]
+            fin[ii], fin_e[ii] = state[done], e[done]
+            end = done & near
+            if end.any():
+                pts = state[end, :2]
+                fin_d[ids[end]] = (path.nearest_boundary(pts)[0] if witness
+                                   else path.distance_many(pts))
             keep = ~done
             if not keep.any():
                 break
-            ids, dwell, hint = ids[keep], dwell[keep], hint[keep]
+            ids, dwell, hint, until = ids[keep], dwell[keep], hint[keep], until[keep]
         state = advance(keep)
     return code, t_fin, fin, fin_e, fin_d
 
@@ -331,7 +342,7 @@ def _unicycle_command(steers, group, u_r, dt):
         return (e, singular, infeasible,
                 {"x": x, "y": y, "alpha": alpha, **diag}, advance)
 
-    return _Command(step, u_r, True)
+    return _Command(step, u_r)
 
 
 def _steer(path, errmap, controller, u_r, detail):
@@ -400,7 +411,7 @@ class BatchResult:
     y: np.ndarray
     alpha: np.ndarray
     e: np.ndarray
-    dist: np.ndarray      # nearest-boundary-sample distance at termination
+    dist: np.ndarray      # path.distance_many at termination, NaN if |e| >= tol_e
 
 
 def _rows(starts, k):
@@ -420,8 +431,9 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
     poses0: array (B, 3) of (x, y, alpha), or one pose (3,).  `record`, if
     given, is called once per step as record(t, ids, data) where ids are
     original run indices of the still-active runs and data holds the per-run
-    arrays x, y, alpha, dist and those of field.steering_arrays (e, delta,
-    omega_d, omega, regular, ...).
+    arrays x, y, alpha and those of field.steering_arrays (e, delta,
+    omega_d, omega, regular, ...).  A run's dist is NaN unless it ends with
+    |e| below stop.tol_e.
     """
     if not isinstance(params, gvf.GvfParams):
         raise TypeError(f"unsupported controller {params!r}")
@@ -434,9 +446,13 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
                        y=fin[:, 1], alpha=fin[:, 2], e=e, dist=dist)
 
 
-_ROW_KEYS = ("x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist")
+_ROW_KEYS = ("x", "y", "alpha", "e", "delta", "omega_d", "omega")
 # Steps the row recorder holds before its buffer first doubles.
 _ROWS_INITIAL = 1024
+# Rows per distance query over a recorded run.  The search holds about 3 kB
+# of scratch per row; at 128 rows a recorded batch's memory peaks no higher
+# than with a search per step.
+_DIST_BLOCK = 128
 
 
 class _RowRecorder:
@@ -477,6 +493,8 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
     controllers holds one controller per pose: GvfParams (u_r taken from
     it) or LosParams / NglParams (pass the forward speed via u_r).  The
     batch may mix them; the runs of one controller are steered together.
+    Each run's dist column is path.distance_many of its recorded points,
+    searched after the batch, _DIST_BLOCK rows at a time.
     """
     if len(controllers) != len(poses):
         raise ValueError(f"{len(controllers)} controllers for {len(poses)} poses")
@@ -509,7 +527,13 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
         # Infeasible runs carry their own guidance error message.
         event = TerminationEvent(kind, float(t_final[j]),
                                  detail.get(j) or details[kind])
-        trajs[order[j]] = Trajectory(dt=dt, termination=event, **rec.columns(j))
+        cols = rec.columns(j)
+        x, y = cols["x"], cols["y"]
+        cols["dist"] = np.concatenate([
+            path.distance_many(np.column_stack((x[a:a + _DIST_BLOCK],
+                                                y[a:a + _DIST_BLOCK])))
+            for a in range(0, len(x), _DIST_BLOCK)])
+        trajs[order[j]] = Trajectory(dt=dt, termination=event, **cols)
     return trajs
 
 
@@ -531,7 +555,7 @@ def simulate(path, errmap, controller, pose0, dt, t_max, stop=StopPolicy(), u_r=
 def _trace_command(path, errmap, k_n, mode, u_r, dt):
     """_Command for classical RK4 on the raw field v, which has no speed
     bound, or on the normalized field u_r m_d, whose every stage moves at
-    most at speed u_r.  Its recorder reads no distances."""
+    most at speed u_r."""
     require_positive(k_n=k_n, u_r=u_r)
     if mode is TraceMode.RAW:
         speed = math.inf
@@ -571,7 +595,7 @@ def _trace_command(path, errmap, k_n, mode, u_r, dt):
 
         return e, ~regular, np.zeros(len(pts), dtype=bool), {"pts": pts}, advance
 
-    return _Command(step, speed, False)
+    return _Command(step, speed)
 
 
 def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from gvfpath import (
 )
 from gvfpath.analysis import critical_distance, sample_invariant_set
 from gvfpath.field import compose_heading, field_arrays, steering_arrays
+from gvfpath.scenario import bundled_scenario
 
 
 def test_find_critical_points_ellipse(ellipse):
@@ -70,6 +72,26 @@ def test_critical_set_points(cassini, line_y0):
     merged = type(found)(locations=[np.array([1.0, 2.0])],
                          unclassifiable=[np.array([3.0, 4.0])])
     assert merged.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_shared_critical_set_is_frozen():
+    # Every run of a bundled scenario reads the one search its path caches,
+    # so no caller may change it.
+    found = bundled_scenario("ellipse_experiment.cfg").path.critical_set
+    for change in (lambda: found.locations.clear(),
+                   lambda: found.unclassifiable.append(np.zeros(2))):
+        with pytest.raises(AttributeError):
+            change()
+    with pytest.raises(ValueError, match="read-only"):
+        found.locations[0][0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        found.locations = ()
+    found.points[0] = 0.0  # a fresh array each time
+    assert found.points.tolist() == [[600.0, 350.0]]
+    given = [np.array([1.0, 2.0])]
+    kept = type(found)(locations=given, unclassifiable=[])
+    given[0][0] = 5.0
+    assert kept.locations[0].tolist() == [1.0, 2.0]
 
 
 def test_classify_ellipse_center_repulsive(ellipse, identity):

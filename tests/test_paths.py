@@ -22,7 +22,8 @@ from gvfpath import (
     Region,
     check_derivatives,
 )
-from gvfpath.paths import BOUNDARY_SAMPLES, COARSE_STRIDE, CONTOUR_BLOCK
+from gvfpath.paths import (BOUNDARY_SAMPLES, COARSE_STRIDE, CONTOUR_BLOCK,
+                           WITNESS_HALF_WIDTH)
 from gvfpath.util import PADDED_WORKSPACE
 
 ALL_MAPS = [IdentityMap(), ArctanPower(1.0), ArctanPower(2.0),
@@ -239,7 +240,7 @@ def test_nearest_boundary_matches_reference(path):
     CassiniPath(x0=600.0, y0=350.0, p=330.0, q=300.0, k_s=1e-10),
     LinePath(1.0, 2.0, -1300.0),
 ], ids=["ellipse", "cassini", "sloped_line"])
-def test_within_boundary_decides_like_the_full_search(path):
+def test_within_boundary_decides_like_the_full_search(path, monkeypatch):
     rng = np.random.default_rng(16)
     m = 4000
     # Points within 3 Px of the path; a quarter of them near s = 0 and 1,
@@ -249,6 +250,7 @@ def test_within_boundary_decides_like_the_full_search(path):
     r, ang = 3.0 * np.sqrt(rng.uniform(0.0, 1.0, m)), rng.uniform(0.0, 6.3, m)
     pts = path.point(s) + np.column_stack([r * np.cos(ang), r * np.sin(ang)])
     dist, best = path.nearest_boundary(pts)
+    search = type(path).nearest_boundary
     n = BOUNDARY_SAMPLES
     hints = {
         "exact": best,
@@ -260,16 +262,35 @@ def test_within_boundary_decides_like_the_full_search(path):
         if not path.closed:
             hint = np.clip(hint, 0, n - 1)
         for tol in (0.5, 2.0):
-            inside, d, k = path.within_boundary(pts, hint.copy(), tol)
+            searched = []
+            monkeypatch.setattr(type(path), "nearest_boundary", lambda self, p: (
+                searched.append(len(p)), search(self, p))[1])
+            d, k = path.within_boundary(pts, hint.copy(), tol)
+            monkeypatch.undo()
+            inside = d < tol
             assert np.array_equal(inside, dist < tol), name
-            full = ~np.isnan(d)
-            assert np.array_equal(d[full], dist[full]), name
-            assert np.array_equal(k[full], best[full]), name
-            # A witnessed row's new hint is a sample closer than tol.
-            wit = path._boundary_pts[k[~full]] - pts[~full]
-            assert np.all(np.hypot(*wit.T) < tol), name
+            assert np.array_equal(d[~inside], dist[~inside]), name
+            assert np.array_equal(k[~inside], best[~inside]), name
+            # Every row's distance is that of its new hint, no nearer than
+            # the nearest sample; an inside row's hint is the full search's
+            # or a witness within the window around the old hint.
+            dx, dy = (pts - path._boundary_pts[k]).T
+            assert np.array_equal(d, np.sqrt(dx * dx + dy * dy)), name
+            assert np.all(d >= dist), name
+            off = k - hint
+            if path.closed:
+                off = (off + n // 2) % n - n // 2
+            found = (d == dist) & (k == best)
+            assert np.all(found | (np.abs(off) <= WITNESS_HALF_WIDTH)), name
+            # Exactly the rows without a sample below tol among the 4 on
+            # either side of the hint are searched (stale hints lag up to 6).
+            win = hint[:, None] + np.arange(-4, 5)
+            win = win % n if path.closed else np.clip(win, 0, n - 1)
+            w2 = ((path._boundary_pts[win] - pts[:, None]) ** 2).sum(axis=-1)
+            assert sum(searched) == np.sum(~(np.sqrt(w2.min(axis=1)) < tol)), name
             if name == "exact":
-                assert np.array_equal(full, dist >= tol)
+                assert sum(searched) == np.sum(~inside)
+                assert np.array_equal(d, dist)
 
 
 POLY = PolynomialPath(terms=((2, 0, 1e-05), (1, 0, -0.012), (0, 2, 4e-05),

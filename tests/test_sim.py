@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from gvfpath import (
     trace_batch,
     wrap_angle,
 )
-from gvfpath import analysis
+from gvfpath import analysis, cli, sim
 from gvfpath.analysis import find_critical_points, sample_invariant_set
 from gvfpath.field import compose_heading, field_arrays
 from gvfpath.scenario import bundled_scenario
@@ -409,27 +411,47 @@ def test_zero_dwell_stops_at_first_step_inside_tolerances(ellipse, identity,
     assert outside.all()
 
 
-@pytest.mark.parametrize("name", ["cassini", "sloped_line"])
-def test_witnessed_dwell_matches_recorded_distances(cassini, identity, exp_params,
-                                                    name):
-    # Without a recorder the dwell test runs on the witness; with one, every
-    # row's distance is searched in full.  The outcomes must agree bit for
-    # bit, and each converged run's dist is the full search at its end.
-    path = cassini if name == "cassini" else LinePath(1.0, 2.0, -1300.0)
-    rng = np.random.default_rng(15)
-    poses = np.column_stack([path.region.sample(rng, 16),
-                             rng.uniform(-math.pi, math.pi, 16)])
-    kw = dict(dt=0.005, t_max=25.0, stop=StopPolicy(t_dwell=1.0))
-    got = simulate_gvf_batch(path, identity, exp_params, poses, **kw)
-    ref = simulate_gvf_batch(path, identity, exp_params, poses, **kw,
-                             record=lambda t, ids, data: None)
-    for col in ("kind", "t_final", "x", "y", "alpha", "e", "dist"):
-        assert np.array_equal(getattr(got, col), getattr(ref, col),
-                              equal_nan=col != "kind"), col
-    conv = np.array([k is TerminationKind.CONVERGED for k in got.kind])
-    assert conv.sum() >= 8
-    end = np.column_stack([got.x, got.y])[conv]
-    assert np.array_equal(got.dist[conv], path.distance_many(end))
+@pytest.mark.parametrize("name", ["ellipse", "cassini", "sloped_line",
+                                  "normalized_trace"])
+def test_witnessed_dwell_matches_full_search(ellipse, cassini, identity, exp_params,
+                                             name, monkeypatch):
+    # The dwell deadlines skip the witness on steps whose answer the speed
+    # bound already certifies.  The reference has no speed bound, so no
+    # deadline, and runs the full search on every row at every step; the
+    # outcomes must agree bit for bit.  tol_e is large, so that the distance
+    # test decides the dwell.  One batch starts up to 30 Px off the path; the
+    # other starts on it, heading every way, so that every row is certified
+    # at once and the rows heading away leave tol_d before t_dwell.
+    path = {"cassini": cassini,
+            "sloped_line": LinePath(1.0, 2.0, -1300.0)}.get(name, ellipse)
+    rng = np.random.default_rng(25)
+    dt, stop = 0.005, StopPolicy(tol_e=1e12, tol_d=2.0, t_dwell=0.06)
+    r, ang = rng.uniform(0.0, 30.0, 16), rng.uniform(-math.pi, math.pi, 16)
+    off = path.point(rng.uniform(0.0, 1.0, 16)) + np.column_stack(
+        [r * np.cos(ang), r * np.sin(ang)])
+    for xy in (off, path.point(rng.uniform(0.0, 1.0, 16))):
+        if name == "normalized_trace":
+            state = xy
+            command = _trace_command(path, identity, 3.0, TraceMode.NORMALIZED,
+                                     50.0, dt)
+        else:
+            state = np.column_stack([xy, rng.uniform(-math.pi, math.pi, 16)])
+            command = _unicycle_command([_gvf_steer(path, identity, exp_params)],
+                                        np.zeros(16, dtype=int), exp_params.u_r, dt)
+        run = partial(_run, path=path, state=state, dt=dt, t_max=5.0, stop=stop,
+                      crit=path.critical_set.points)
+        got = run(command)
+        with monkeypatch.context() as m:
+            m.setattr(type(path), "within_boundary",
+                      lambda self, pts, hint, tol: self.nearest_boundary(pts))
+            ref = run(command._replace(speed=math.inf))
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b, equal_nan=True)
+        kinds = [k.value for k in _KINDS[got[0]]]
+        assert kinds.count(TerminationKind.CONVERGED) >= 12, kinds
+    if name != "normalized_trace":
+        # Some of the runs from the path left tol_d and came back.
+        assert np.sum(got[1] > 0.1) >= 2
 
 
 def _assert_same_runs(batch, singles):
@@ -439,6 +461,56 @@ def _assert_same_runs(batch, singles):
         assert b.termination == s.termination
         for col in ("t", "x", "y", "alpha", "e", "delta", "omega_d", "omega", "dist"):
             assert np.array_equal(getattr(b, col), getattr(s, col), equal_nan=True), col
+
+
+def test_recorded_run_searches_per_run_not_per_step(monkeypatch, tmp_path):
+    # A recorded closed loop searches its distance column once per run,
+    # after the batch; each column equals path.distance_many of the run's
+    # own points.
+    scn = bundled_scenario("ellipse_experiment.cfg")
+    calls, trajs = [], []
+    search = type(scn.path).nearest_boundary
+    monkeypatch.setattr(type(scn.path), "nearest_boundary",
+                        lambda self, pts: (calls.append(len(pts)), search(self, pts))[1])
+    runs = sim._simulate_runs
+    monkeypatch.setattr(sim, "_simulate_runs",
+                        lambda *a, **kw: trajs.extend(runs(*a, **kw)) or trajs)
+    cli.run_scenario(scn, tmp_path)
+    steps = max(len(traj) for traj in trajs)
+    assert len(trajs) == 4 and steps > 1000
+    assert len(calls) < steps / 10
+    for traj in trajs:
+        ref = scn.path.distance_many(np.column_stack([traj.x, traj.y]))
+        assert np.array_equal(traj.dist, ref)
+
+
+def test_recorded_distance_query_is_blocked(ellipse, identity, exp_params,
+                                            monkeypatch):
+    # The distance query over a recorded run goes _DIST_BLOCK rows at a
+    # time, so 4 runs of 2,500 steps peak within 4 times the recorder's
+    # buffer (2.3 at 128 rows); one query over all of a run's rows would
+    # reach about 10, and 1,024-row blocks 5.4.
+    recorders = []
+
+    class Recorder(_RowRecorder):
+        def __init__(self, n_runs):
+            super().__init__(n_runs)
+            recorders.append(self)
+
+    monkeypatch.setattr(sim, "_RowRecorder", Recorder)
+    poses = [Pose(*ellipse.point(s), a) for s, a in ((0.1, 0.0), (0.3, 1.0),
+                                                     (0.6, 2.0), (0.8, 3.0))]
+    kw = dict(dt=0.005, t_max=12.495, stop=StopPolicy(t_dwell=math.inf))
+    _simulate_runs(ellipse, identity, [exp_params], poses[:1], dt=0.005,
+                   t_max=0.01)  # fills the path's caches
+    tracemalloc.start()
+    try:
+        trajs = _simulate_runs(ellipse, identity, [exp_params] * 4, poses, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(traj) for traj in trajs] == [2500] * 4
+    assert peak < 4 * recorders[-1].buf.nbytes
 
 
 @pytest.mark.parametrize("name", ["ellipse_experiment", "cassini_experiment"])

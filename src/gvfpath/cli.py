@@ -218,8 +218,8 @@ def comparison_metrics(traj, settle_threshold, steady_window, touch_eps):
 
 
 def compare_controllers(scn, out_dir):
-    """Run the configured controllers from the scenario's one pose, as one
-    batch; emit d(t) + metrics."""
+    """Run each configured controller from the scenario's one pose; emit
+    d(t) + metrics."""
     if scn.compare is None:
         raise ConfigError("scenario has no [compare] section")
     if not scn.path.has_parametric:

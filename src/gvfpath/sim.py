@@ -27,14 +27,12 @@ most u_r dt per step, a raw trace has no bound.
 So the critical-set and domain tests run only on steps when some row could
 fail one, and the outcome is the same as testing every step; singular rows
 are ended on every step.  Ended rows are dropped before the advance, so a
-non-regular row is never stepped.  All of a scenario's initial poses run as
-one batch, each run's rows recorded into one shared buffer; `simulate` is
-that batch with one pose, and its Trajectory is bit-identical to the same
-pose's in any batch, since every step is elementwise per row.  A batch may
-mix controllers that share one forward speed: the command steers the active
-rows of each controller together, as one slice, and a controller that owns
-every active row gets them unsliced.  The GVF / LOS / NGL comparison runs
-as one such batch.
+non-regular row is never stepped.  A batch has one command, so one
+controller; `_run` returns one BatchResult for it.  All of a scenario's
+initial poses that share a controller run as one batch, each run's rows
+recorded into one shared buffer; `simulate` is that batch with one pose,
+and its Trajectory is bit-identical to the same pose's in any batch, since
+every step is elementwise per row.
 
 Every dynamical outcome is an event, not an exception: runs end with
 GuidanceInfeasible, ReachedCriticalSet, LeftDomain, ConvergedToPath or
@@ -199,6 +197,25 @@ class _Command(NamedTuple):
     speed: float
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """Per-run outcome of one _run batch: the ledger code (an index into
+    _KINDS), t_final, the final state (B, k), e, and dist, from the full
+    search (that of path.distance_many) wherever |e| was below tol_e at the
+    end and NaN elsewhere."""
+
+    code: np.ndarray
+    t_final: np.ndarray
+    state: np.ndarray
+    e: np.ndarray
+    dist: np.ndarray
+
+    @property
+    def kind(self):
+        """TerminationKind per run (object array)."""
+        return _KINDS[self.code]
+
+
 def _run(command, path, state, dt, t_max, stop, crit, record=None):
     """The batched time-step loop and its termination ledger.
 
@@ -216,10 +233,7 @@ def _run(command, path, state, dt, t_max, stop, crit, record=None):
     witness at distance d < tol_d certifies its row inside through step
     `until`, as many steps on as reach fits into tol_d - d.
 
-    Returns the ledger code (an index into _KINDS), t_final, state, e and
-    dist of every run at its termination, dist from the full search (that
-    of path.distance_many) wherever |e| was below tol_e at the end and NaN
-    elsewhere.
+    Returns the BatchResult of every run at its termination.
     """
     require_positive(dt=dt, t_max=t_max)
     bad = np.flatnonzero(~np.isfinite(state).all(axis=1))
@@ -231,8 +245,9 @@ def _run(command, path, state, dt, t_max, stop, crit, record=None):
     fin = np.zeros_like(state)
     fin_e = np.zeros(n_runs)
     fin_d = np.full(n_runs, np.nan)
+    res = BatchResult(code, t_fin, fin, fin_e, fin_d)
     if n_runs == 0:
-        return code, t_fin, fin, fin_e, fin_d
+        return res
 
     ids = np.arange(n_runs)
     dwell = np.zeros(n_runs)
@@ -303,36 +318,22 @@ def _run(command, path, state, dt, t_max, stop, crit, record=None):
                 break
             ids, dwell, hint, until = ids[keep], dwell[keep], hint[keep], until[keep]
         state = advance(keep)
-    return code, t_fin, fin, fin_e, fin_d
+    return res
 
 
-_DIAG_KEYS = ("delta", "omega_d", "omega")
+def _unicycle_command(steer, u_r, dt):
+    """_Command for (x, y, alpha) rows turned by steer at forward speed u_r,
+    which bounds each step's displacement by u_r dt: the Simpson rule weighs
+    three unit headings by (1 + 4 + 1) / 6.
 
-
-def _unicycle_command(steers, group, u_r, dt):
-    """_Command for (x, y, alpha) rows, run i turned by steers[group[i]] at
-    forward speed u_r, which bounds each step's displacement by u_r dt: the
-    Simpson rule weighs three unit headings by (1 + 4 + 1) / 6.
-
-    Each steer(ids, x, y, alpha) returns (e, singular, infeasible, diag) for
-    the runs ids, with the turn rate in diag["omega"], which the RK4 advance
-    holds over the step.  group must be sorted, so that each steer's active
-    rows are one slice; a steer that owns them all gets them unsliced and
-    hands on its whole diag, else diag holds only delta, omega_d and omega.
+    steer(ids, x, y, alpha) returns (e, singular, infeasible, diag) for the
+    active runs ids, with the turn rate in diag["omega"], which the RK4
+    advance holds over the step.
     """
 
     def step(state, ids):
         x, y, alpha = state.T
-        g = group[ids]
-        if g[0] == g[-1]:
-            e, singular, infeasible, diag = steers[g[0]](ids, x, y, alpha)
-        else:
-            cuts = np.searchsorted(g, np.arange(len(steers) + 1)).tolist()
-            parts = [steer(ids[a:b], x[a:b], y[a:b], alpha[a:b])
-                     for steer, a, b in zip(steers, cuts, cuts[1:]) if a < b]
-            *cols, diags = zip(*parts)
-            e, singular, infeasible = map(np.concatenate, cols)
-            diag = {key: np.concatenate([d[key] for d in diags]) for key in _DIAG_KEYS}
+        e, singular, infeasible, diag = steer(ids, x, y, alpha)
         omega = diag["omega"]
 
         def advance(keep):
@@ -345,25 +346,27 @@ def _unicycle_command(steers, group, u_r, dt):
     return _Command(step, u_r)
 
 
-def _steer(path, errmap, controller, u_r, detail):
-    """The steer of one controller and the forward speed of its runs.  A
-    baseline steer writes each infeasible row's message into detail under
-    the row's run id."""
+def _steer(path, errmap, controller, u_r):
+    """The steer of one controller, the forward speed of its runs, and the
+    dict in which a baseline steer files each infeasible row's message
+    under the row's run id (empty for GVF)."""
     if isinstance(controller, gvf.GvfParams):
         if u_r is not None and u_r != controller.u_r:
             raise ValueError("u_r is carried by GvfParams; do not pass both")
-        return _gvf_steer(path, errmap, controller), controller.u_r
+        return _gvf_steer(path, errmap, controller), controller.u_r, {}
     if isinstance(controller, ctl.LosParams):
         sample = partial(ctl.los_sample, path, controller, u_r=u_r)
     elif isinstance(controller, ctl.NglParams):
         sample = partial(ctl.ngl_sample, path, controller)
     else:
         raise TypeError(f"unsupported controller {controller!r}")
-    if u_r is None or u_r <= 0.0:
-        raise ValueError("baseline controllers need a positive u_r")
+    if u_r is None or not 0.0 < u_r < math.inf:
+        raise ValueError(f"baseline controllers need a positive u_r, and a "
+                         f"finite one, got {u_r!r}")
     if not path.has_parametric:
         raise PathError("baseline controllers require a parametric path")
-    return _baseline_steer(path, errmap, sample, detail), u_r
+    detail = {}
+    return _baseline_steer(path, errmap, sample, detail), u_r, detail
 
 
 def _gvf_steer(path, errmap, params):
@@ -395,23 +398,10 @@ def _baseline_steer(path, errmap, sample, detail):
             else:
                 terms.append((s.heading_error, s.feedforward, s.omega))
         e = errmap.psi(path.jet_xy(x, y, 0)[0])
-        diag = dict(zip(_DIAG_KEYS, np.array(terms).T))
+        diag = dict(zip(("delta", "omega_d", "omega"), np.array(terms).T))
         return e, np.zeros_like(infeasible), infeasible, diag
 
     return steer
-
-
-@dataclass
-class BatchResult:
-    """Per-run outcome of a batched closed-loop sweep."""
-
-    kind: np.ndarray      # TerminationKind per run (object array)
-    t_final: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    alpha: np.ndarray
-    e: np.ndarray
-    dist: np.ndarray      # path.distance_many at termination, NaN if |e| >= tol_e
 
 
 def _rows(starts, k):
@@ -426,7 +416,8 @@ def _rows(starts, k):
 
 def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
                        stop=StopPolicy(), record=None):
-    """Integrate the guiding-field closed loop for a batch of initial poses.
+    """Integrate the guiding-field closed loop for a batch of initial poses;
+    returns the batch's BatchResult.
 
     poses0: array (B, 3) of (x, y, alpha), or one pose (3,).  `record`, if
     given, is called once per step as record(t, ids, data) where ids are
@@ -437,13 +428,9 @@ def simulate_gvf_batch(path, errmap, params, poses0, dt, t_max,
     """
     if not isinstance(params, gvf.GvfParams):
         raise TypeError(f"unsupported controller {params!r}")
-    poses0 = _rows(poses0, 3)
-    command = _unicycle_command([_gvf_steer(path, errmap, params)],
-                                np.zeros(len(poses0), dtype=int), params.u_r, dt)
-    code, t_final, fin, e, dist = _run(command, path, poses0, dt, t_max, stop,
-                                       path.critical_set.points, record)
-    return BatchResult(kind=_KINDS[code], t_final=t_final, x=fin[:, 0],
-                       y=fin[:, 1], alpha=fin[:, 2], e=e, dist=dist)
+    command = _unicycle_command(_gvf_steer(path, errmap, params), params.u_r, dt)
+    return _run(command, path, _rows(poses0, 3), dt, t_max, stop,
+                path.critical_set.points, record)
 
 
 _ROW_KEYS = ("x", "y", "alpha", "e", "delta", "omega_d", "omega")
@@ -487,34 +474,22 @@ class _RowRecorder:
 
 def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(),
                    u_r=None):
-    """Integrate the closed loop from each Pose in one batch; one Trajectory
-    per pose, each equal to that pose's run on its own.
+    """Integrate the closed loop from each Pose; one Trajectory per pose,
+    each equal to that pose's run on its own.
 
     controllers holds one controller per pose: GvfParams (u_r taken from
-    it) or LosParams / NglParams (pass the forward speed via u_r).  The
-    batch may mix them; the runs of one controller are steered together.
-    Each run's dist column is path.distance_many of its recorded points,
-    searched after the batch, _DIST_BLOCK rows at a time.
+    it) or LosParams / NglParams (pass the forward speed via u_r).  Every
+    controller is checked before any run; then the poses of each distinct
+    controller run as one batch.  Each run's dist column is
+    path.distance_many of its recorded points, searched after its batch,
+    _DIST_BLOCK rows at a time.
     """
     if len(controllers) != len(poses):
         raise ValueError(f"{len(controllers)} controllers for {len(poses)} poses")
-    index = {c: i for i, c in enumerate(dict.fromkeys(controllers))}
-    detail = {}
-    made = [_steer(path, errmap, c, u_r, detail) for c in index]
-    speeds = {speed for _, speed in made}
-    if len(speeds) > 1:
-        raise ValueError(f"the runs of one batch share one forward speed, "
-                         f"not {sorted(speeds)}")
-    speed = next(iter(speeds), None)  # None only for an empty batch
-    # The batch runs sorted by controller, so that the active rows of each
-    # controller are one slice; run j of the batch is pose order[j].
-    group = np.array([index[c] for c in controllers], dtype=int)
-    order = np.argsort(group, kind="stable")
-    state = np.array([[p.x, p.y, p.alpha] for p in poses]).reshape(-1, 3)[order]
-    rec = _RowRecorder(len(state))
-    command = _unicycle_command([steer for steer, _ in made], group[order], speed, dt)
-    code, t_final, *_ = _run(command, path, state, dt, t_max, stop,
-                             path.critical_set.points, rec)
+    runs = {}
+    for i, c in enumerate(controllers):
+        runs.setdefault(c, []).append(i)
+    made = [(_steer(path, errmap, c, u_r), which) for c, which in runs.items()]
     details = {
         TerminationKind.CONVERGED: "|e| and path distance within tolerance "
                                    f"for {stop.t_dwell} s",
@@ -522,18 +497,21 @@ def _simulate_runs(path, errmap, controllers, poses, dt, t_max, stop=StopPolicy(
         TerminationKind.TIMEOUT: "t_max reached",
         TerminationKind.LEFT_DOMAIN: "left the working region",
     }
-    trajs = [None] * len(order)
-    for j, kind in enumerate(_KINDS[code]):
-        # Infeasible runs carry their own guidance error message.
-        event = TerminationEvent(kind, float(t_final[j]),
-                                 detail.get(j) or details[kind])
-        cols = rec.columns(j)
-        x, y = cols["x"], cols["y"]
-        cols["dist"] = np.concatenate([
-            path.distance_many(np.column_stack((x[a:a + _DIST_BLOCK],
-                                                y[a:a + _DIST_BLOCK])))
-            for a in range(0, len(x), _DIST_BLOCK)])
-        trajs[order[j]] = Trajectory(dt=dt, termination=event, **cols)
+    trajs = [None] * len(poses)
+    for (steer, speed, detail), which in made:
+        state = np.array([[poses[i].x, poses[i].y, poses[i].alpha] for i in which])
+        rec = _RowRecorder(len(state))
+        res = _run(_unicycle_command(steer, speed, dt), path, state, dt, t_max,
+                   stop, path.critical_set.points, rec)
+        for j, (i, kind) in enumerate(zip(which, res.kind)):
+            # Infeasible runs carry their own guidance error message.
+            event = TerminationEvent(kind, float(res.t_final[j]),
+                                     detail.get(j) or details[kind])
+            cols = rec.columns(j)
+            xy = np.column_stack((cols["x"], cols["y"]))
+            cols["dist"] = np.concatenate([path.distance_many(xy[a:a + _DIST_BLOCK])
+                                           for a in range(0, len(xy), _DIST_BLOCK)])
+            trajs[i] = Trajectory(dt=dt, termination=event, **cols)
     return trajs
 
 
@@ -613,5 +591,5 @@ def trace_batch(path, errmap, k_n, starts, mode, dt, t_max, u_r=1.0,
     crit = path.critical_set.points if critical_points is None else critical_points
     rec = None if record is None else (
         lambda t, ids, data: record(t, ids, data["pts"], data["e"]))
-    code, t_final, *_ = _run(command, path, starts, dt, t_max, stop, crit, rec)
-    return _LABELS[code], t_final
+    res = _run(command, path, starts, dt, t_max, stop, crit, rec)
+    return _LABELS[res.code], res.t_final

@@ -3,10 +3,12 @@
 perfbench/tracer.py wraps public functions of gvfpath by module attribute or
 class-dict entry, and perfbench/workloads.py builds its inputs from the
 scenario and CLI API.  A rename or move of one of them breaks benchmark runs,
-so these tests install and remove the tracer, set up every workload and bind
-the workloads' timed calls to the current signatures.
+so these tests install and remove the tracer, set up every workload, bind
+the workloads' timed calls to the current signatures and unpack their
+results as the workloads do.
 """
 
+import dataclasses
 import inspect
 import pathlib
 
@@ -70,3 +72,27 @@ def test_workload_calls_bind():
     bind(cli.write_critical_report, "scn", "out_file")
     bind(cli.basin_sweep, "scn", "out_file")
     bind(cli.compare_controllers, "scn", "out_dir")
+
+
+def test_workload_results_unpack(ellipse, tmp_path):
+    # The return values the workloads unpack: trace_batch's (labels,
+    # t_final), whose labels Trace.check tests against TraceLabel members
+    # and writes by .value, and basin_sweep's .total and .t_final, from
+    # which Basin.tally counts runs and steps.
+    sim, cli = gvfpath.sim, gvfpath.cli
+    scn = gvfpath.scenario.bundled_scenario("ellipse_experiment.cfg")
+    starts = np.array([ellipse.point(0.3), [600.2, 350.0]])
+    labels, t_final = sim.trace_batch(
+        ellipse, scn.errmap, 3.0, starts, sim.TraceMode.NORMALIZED, 0.005, 1.0,
+        u_r=50.0, stop=gvfpath.StopPolicy(t_dwell=0.1),
+        critical_points=ellipse.critical_set.points, record=None)
+    assert list(labels) == [sim.TraceLabel.PATH, sim.TraceLabel.CRITICAL]
+    assert [lab.value for lab in labels] == ["path", "critical"]
+    assert np.asarray(t_final, dtype=float).shape == (2,)
+
+    basin = gvfpath.scenario.BasinSpec(nx=2, ny=2, headings=2, t_max=0.05,
+                                       region=scn.basin.region)
+    rep = cli.basin_sweep(dataclasses.replace(scn, basin=basin),
+                          tmp_path / "basin.csv")
+    assert isinstance(rep.total, int) and rep.total == 8
+    assert np.asarray(rep.t_final, dtype=float).shape == (rep.total,)

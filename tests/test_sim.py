@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from functools import partial
@@ -28,7 +29,6 @@ from gvfpath.analysis import find_critical_points, sample_invariant_set
 from gvfpath.field import compose_heading, field_arrays
 from gvfpath.scenario import bundled_scenario
 from gvfpath.sim import (
-    _KINDS,
     _RowRecorder,
     _gvf_steer,
     _rk4_step,
@@ -140,6 +140,14 @@ def test_recorded_trace_searches_no_distances(ellipse, identity, monkeypatch):
     assert TraceLabel.PATH in ref[0].tolist() and len(rows) > 1
 
 
+def _assert_same_result(got, ref, rows=slice(None)):
+    """Every field of two BatchResults equal bit for bit, got against the
+    rows `rows` of ref."""
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(ref, f.name)[rows]
+        assert np.array_equal(a, b, equal_nan=True), f.name
+
+
 def _edge_starts(path, crit, tol_c):
     """One batch per critical point and per region edge: poses 0-3 Px outside
     tol_c of the point or inside the edge, heading into it, and the same
@@ -176,20 +184,19 @@ def test_deadline_changes_no_decision(name, monkeypatch):
                            scn.gvf.u_r, scn.dt)
     codes = np.zeros(5, dtype=int)
     for poses in _edge_starts(path, crit, stop.tol_c):
-        gvf = _unicycle_command([_gvf_steer(path, scn.errmap, scn.gvf)],
-                                np.zeros(len(poses), dtype=int), scn.gvf.u_r, scn.dt)
+        gvf = _unicycle_command(_gvf_steer(path, scn.errmap, scn.gvf), scn.gvf.u_r,
+                                scn.dt)
         for command, state in ((gvf, poses), (trace, poses[:, :2])):
             runs = []
             for cmd in (command, command._replace(speed=math.inf)):
                 calls.clear()
-                runs.append((*_run(cmd, path, state, scn.dt, 1.0, stop, crit),
+                runs.append((_run(cmd, path, state, scn.dt, 1.0, stop, crit),
                              len(calls)))
-            (*got, n_got), (*ref, n_ref) = runs
-            for a, b in zip(got, ref):
-                assert np.array_equal(a, b, equal_nan=True)
+            (got, n_got), (ref, n_ref) = runs
+            _assert_same_result(got, ref)
             assert n_got < n_ref
             if command is gvf:
-                codes += np.bincount(got[0], minlength=5)
+                codes += np.bincount(got.code, minlength=5)
     # sim._KINDS order: infeasible, critical, left domain, converged, timeout.
     assert codes[1] > 0 and codes[2] > 0
 
@@ -292,12 +299,12 @@ def test_simulate_critical_start(ellipse, identity, exp_params):
 def test_simulate_singular_start_is_critical(ellipse, identity, exp_params):
     # With an empty critical set, the vanishing gradient at the ellipse
     # center alone ends the run; the row records omega = 0 and NaN delta.
-    command = _unicycle_command([_gvf_steer(ellipse, identity, exp_params)],
-                               np.zeros(1, dtype=int), exp_params.u_r, 0.005)
+    command = _unicycle_command(_gvf_steer(ellipse, identity, exp_params),
+                                exp_params.u_r, 0.005)
     rec = _RowRecorder(1)
-    code, t_final, *_ = _run(command, ellipse, np.array([[600.0, 350.0, 0.0]]),
-                             0.005, 10.0, StopPolicy(), np.zeros((0, 2)), rec)
-    assert _KINDS[code[0]] is TerminationKind.CRITICAL and t_final[0] == 0.0
+    res = _run(command, ellipse, np.array([[600.0, 350.0, 0.0]]), 0.005, 10.0,
+               StopPolicy(), np.zeros((0, 2)), rec)
+    assert res.kind[0] is TerminationKind.CRITICAL and res.t_final[0] == 0.0
     row = rec.columns(0)
     assert len(row["t"]) == 1 and row["omega"][0] == 0.0
     assert np.isnan(row["delta"][0]) and np.isnan(row["omega_d"][0])
@@ -436,8 +443,8 @@ def test_witnessed_dwell_matches_full_search(ellipse, cassini, identity, exp_par
                                      50.0, dt)
         else:
             state = np.column_stack([xy, rng.uniform(-math.pi, math.pi, 16)])
-            command = _unicycle_command([_gvf_steer(path, identity, exp_params)],
-                                        np.zeros(16, dtype=int), exp_params.u_r, dt)
+            command = _unicycle_command(_gvf_steer(path, identity, exp_params),
+                                        exp_params.u_r, dt)
         run = partial(_run, path=path, state=state, dt=dt, t_max=5.0, stop=stop,
                       crit=path.critical_set.points)
         got = run(command)
@@ -445,13 +452,12 @@ def test_witnessed_dwell_matches_full_search(ellipse, cassini, identity, exp_par
             m.setattr(type(path), "within_boundary",
                       lambda self, pts, hint, tol: self.nearest_boundary(pts))
             ref = run(command._replace(speed=math.inf))
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b, equal_nan=True)
-        kinds = [k.value for k in _KINDS[got[0]]]
+        _assert_same_result(got, ref)
+        kinds = [k.value for k in got.kind]
         assert kinds.count(TerminationKind.CONVERGED) >= 12, kinds
     if name != "normalized_trace":
         # Some of the runs from the path left tol_d and came back.
-        assert np.sum(got[1] > 0.1) >= 2
+        assert np.sum(got.t_final > 0.1) >= 2
 
 
 def _assert_same_runs(batch, singles):
@@ -566,15 +572,16 @@ def test_mixed_controller_batch_equals_single_runs(ellipse, identity, exp_params
     assert "(600.0, 250.0) does not intersect" in details[5]
 
 
-def test_baseline_slices_keep_each_runs_detail(ellipse, identity):
-    # Sorted by controller, the batch is LOS, LOS, NGL, NGL.  The ambiguous
-    # LOS run and the infeasible NGL run are each the second row of their
-    # controller's slice, so a message keyed by its row in the slice would
-    # land on the wrong run.
+def test_baseline_batches_keep_each_runs_detail(ellipse, identity):
+    # LOS runs poses 1 and 2 as one batch and NGL poses 0, 3 and 4 as
+    # another, whose row 1 is infeasible at once.  Pose 4, 38 Px outside
+    # the path and heading away, loses the NGL circle at t = 0.045 s, as
+    # row 1 of the rows then active: a message keyed by the row's place
+    # among the active rows, not by its run id, would land on pose 3.
     los, ngl = LosParams(lookahead=70.0, k_los=2.0), NglParams(radius=40.0, k_r=2.0)
     start = Pose(200.0, 450.0, 0.0278)
     runs = [(ngl, start), (los, start), (los, Pose(600.0, 350.0, 0.0)),
-            (ngl, Pose(600.0, 250.0, 0.0))]
+            (ngl, Pose(600.0, 250.0, 0.0)), (ngl, Pose(1038.0, 350.0, 0.0))]
     controllers, poses = zip(*runs)
     kw = dict(dt=0.005, t_max=1.0, u_r=50.0)
     batch = _simulate_runs(ellipse, identity, controllers, poses, **kw)
@@ -583,6 +590,8 @@ def test_baseline_slices_keep_each_runs_detail(ellipse, identity):
     assert details[0] == details[1] == "t_max reached"
     assert "(600.0, 350.0) is ambiguous" in details[2]
     assert "(600.0, 250.0) does not intersect" in details[3]
+    assert batch[4].termination.t_final == 0.045
+    assert "(1040.2" in details[4] and "does not intersect" in details[4]
 
 
 def test_simulate_runs_checks_every_controller(ellipse, identity, exp_params):
@@ -594,13 +603,97 @@ def test_simulate_runs_checks_every_controller(ellipse, identity, exp_params):
     with pytest.raises(ValueError, match="do not pass both"):
         _simulate_runs(ellipse, identity, [los, exp_params], [start, start],
                        dt=0.005, t_max=1.0, u_r=40.0)
-    slow = GvfParams(k_n=3.0, k_delta=2.0, u_r=30.0)
-    with pytest.raises(ValueError, match="share one forward speed"):
-        _simulate_runs(ellipse, identity, [exp_params, slow], [start, start],
-                       dt=0.005, t_max=1.0)
     with pytest.raises(ValueError, match="2 controllers for 1 poses"):
         _simulate_runs(ellipse, identity, [los, los], [start], dt=0.005,
                        t_max=1.0, u_r=50.0)
+
+
+def test_simulate_runs_mixes_forward_speeds(ellipse, identity, exp_params):
+    # Each controller runs as its own batch, so GVF at two speeds may share
+    # one call; each run equals its single run.
+    slow = GvfParams(k_n=3.0, k_delta=2.0, u_r=30.0)
+    start = Pose(200.0, 450.0, 0.0278)
+    runs = [(exp_params, start), (slow, start), (slow, Pose(472.0, 311.0, 0.0768))]
+    controllers, poses = zip(*runs)
+    kw = dict(dt=0.005, t_max=1.0)
+    batch = _simulate_runs(ellipse, identity, controllers, poses, **kw)
+    _assert_same_runs(batch, [simulate(ellipse, identity, c, p, **kw) for c, p in runs])
+    assert not np.array_equal(batch[0].x, batch[1].x)
+
+
+@pytest.mark.parametrize("controller", [LosParams(lookahead=70.0, k_los=2.0),
+                                        NglParams(radius=40.0, k_r=2.0)])
+@pytest.mark.parametrize("u_r", [math.nan, math.inf])
+def test_baseline_rejects_non_finite_speed(ellipse, identity, controller, u_r):
+    # Such a speed once took a step and ended in "pose (nan, nan, nan) is not
+    # finite"; it is rejected before the run, by name.
+    with pytest.raises(ValueError, match=f"positive u_r, and a finite one, got {u_r}"):
+        simulate(ellipse, identity, controller, Pose(200.0, 450.0, 0.0278),
+                 dt=0.005, t_max=1.0, u_r=u_r)
+
+
+def _invariance_starts(path, n, rng):
+    """n poses for every kind of ending within a short run: on the path,
+    within a few Px of a critical point, by a region edge heading out, and
+    anywhere in the workspace."""
+    crit = path.critical_set.points
+    r = path.region
+    on = path.point(rng.uniform(0.0, 1.0, 5))
+    near = crit[rng.integers(0, len(crit), 4)] + rng.uniform(-1.5, 1.5, (4, 2))
+    edge = np.column_stack([np.full(3, r.xmax - 2.0),
+                            rng.uniform(r.ymin, r.ymax, 3)])
+    xy = np.concatenate([on, near, edge, WORKSPACE.sample(rng, n - 12)])
+    alpha = rng.uniform(-math.pi, math.pi, n)
+    alpha[9:12] = 0.0  # the edge starts head out of the region
+    return np.column_stack([xy, alpha])
+
+
+def _batch_orders(n, rng):
+    """One random ordered subset of the n rows per batch size 1 ... n."""
+    return [rng.permutation(n)[:size] for size in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cassini"])
+def test_run_record_is_batch_invariant(ellipse, cassini, identity, exp_params, name):
+    # Each row's code, t_final, state, e and dist depend on its own start
+    # only: not on its row, nor on which or how many rows share its batch.
+    path = {"ellipse": ellipse, "cassini": cassini}[name]
+    rng = np.random.default_rng(27)
+    dt, stop = 0.005, StopPolicy(t_dwell=0.1)
+    poses = _invariance_starts(path, 17, rng)
+    codes = set()
+    for command, starts in (
+            (_unicycle_command(_gvf_steer(path, identity, exp_params),
+                               exp_params.u_r, dt), poses),
+            (_trace_command(path, identity, 3.0, TraceMode.NORMALIZED, 50.0, dt),
+             poses[:, :2])):
+        run = partial(_run, command, path, dt=dt, t_max=0.5, stop=stop,
+                      crit=path.critical_set.points)
+        ref = run(state=starts)
+        codes.update(ref.code.tolist())
+        for rows in _batch_orders(len(starts), rng):
+            _assert_same_result(run(state=starts[rows]), ref, rows)
+    # Every ending but infeasible, which neither command has.
+    assert codes == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("name", ["ellipse", "cassini"])
+def test_baseline_runs_are_batch_invariant(ellipse, cassini, identity, name):
+    path = {"ellipse": ellipse, "cassini": cassini}[name]
+    rng = np.random.default_rng(2027)
+    poses = [Pose(*p) for p in _invariance_starts(path, 17, rng)]
+    kw = dict(dt=0.005, t_max=0.05, stop=StopPolicy(t_dwell=0.02), u_r=50.0)
+    kinds = set()
+    for controller in (LosParams(lookahead=70.0, k_los=2.0),
+                       NglParams(radius=40.0, k_r=2.0)):
+        ref = _simulate_runs(path, identity, [controller] * len(poses), poses, **kw)
+        kinds.update(traj.termination.kind for traj in ref)
+        for rows in _batch_orders(len(poses), rng):
+            got = _simulate_runs(path, identity, [controller] * len(rows),
+                                 [poses[i] for i in rows], **kw)
+            _assert_same_runs(got, [ref[i] for i in rows])
+    # NGL's infeasible runs check that each keeps its own message.
+    assert kinds == set(TerminationKind)
 
 
 def test_simulate_converges_with_bounded_error_map(ellipse, exp_params):
